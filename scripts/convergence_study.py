@@ -15,18 +15,10 @@ import math
 
 import numpy as np
 
+from run_synthetic_pipeline import CREDIT_SETS, RATE
 from ssrd.cir import cir_bond
 from ssrd.expansion import ModelParams, h_expansion, v_expansion
 from ssrd.mc import McConfig, mc_estimate
-
-RATE = dict(alpha1=0.2, beta1=0.03, sigma1=0.05, r0=0.02)
-
-CREDIT_SETS = {
-    "slow": dict(alpha2=0.00561, beta2=0.92493, sigma2=0.02352, lambda0=0.01011),
-    "mid1": dict(alpha2=0.03966, beta2=0.16350, sigma2=0.01600, lambda0=0.00436),
-    "fast": dict(alpha2=0.22724, beta2=0.05817, sigma2=0.06869, lambda0=0.00537),
-    "mid2": dict(alpha2=0.04117, beta2=0.18416, sigma2=0.07196, lambda0=0.01103),
-}
 
 
 def exact_study(model, maturities, orders):
@@ -81,7 +73,9 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=20260819)
     args = ap.parse_args(argv)
 
-    model = ModelParams(rho=args.rho, **RATE, **CREDIT_SETS[args.set])
+    alpha2, beta2, sigma2, lambda0, _ = CREDIT_SETS[args.set]
+    model = ModelParams(RATE.alpha, RATE.beta, RATE.sigma, RATE.x0,
+                        alpha2, beta2, sigma2, lambda0, args.rho)
     maturities = np.geomspace(args.tmin, args.tmax, args.points)
     print(f"set {args.set}, rho {args.rho:g}, orders {args.orders}\n")
     if args.rho == 0.0:

@@ -14,7 +14,7 @@ from .calibrate import (
     match_volatility,
     run_pipeline,
 )
-from .cir import CirParams, cir_bond, cir_bond_coefficients, cir_bond_dT, feller_margin
+from .cir import CirParams, cir_bond, cir_bond_dT, feller_margin
 from .expansion import (
     ExpansionTerms,
     ModelParams,
@@ -22,7 +22,6 @@ from .expansion import (
     h_expansion,
     survival_approx,
     v_expansion,
-    zcb_approx,
 )
 from .market import (
     CdsQuoteSet,
@@ -64,7 +63,6 @@ __all__ = [
     "calibrate_cds",
     "calibrate_rates",
     "cir_bond",
-    "cir_bond_coefficients",
     "cir_bond_dT",
     "compute_weights",
     "expansion_terms",
@@ -82,6 +80,5 @@ __all__ = [
     "survival_approx",
     "uncorrelated_spread",
     "v_expansion",
-    "zcb_approx",
     "__version__",
 ]

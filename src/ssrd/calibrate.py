@@ -223,25 +223,6 @@ class MatchedVolatility:
     residual: float
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Deterministic golden-section minimizer on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol * max(1.0, abs(a) + abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
 def match_volatility(rate: CirParams, r0: float, t_max: float) -> MatchedVolatility:
     """Pick sigma1_hat so the expansion's own bond price at t_max is exact.
 
@@ -250,10 +231,12 @@ def match_volatility(rate: CirParams, r0: float, t_max: float) -> MatchedVolatil
     price is a quadratic root problem.  The smaller nonnegative real root
     is taken when it exists and actually closes the gap; otherwise the
     absolute mismatch is minimized over sigma1_hat in [0, 5 sigma1], which
-    always produces a value.
+    always produces a value.  With no root in reach the mismatch keeps one
+    sign, so its smallest size sits at an end of the range or at the
+    polynomial's vertex.
     """
-    if t_max <= 0.0:
-        raise CalibrationError("matching horizon must be positive")
+    if not (t_max > 0.0 and math.isfinite(t_max)):
+        raise CalibrationError(f"matching horizon must be positive and finite, got {t_max}")
     leg = CirParams(rate.alpha, rate.beta, rate.sigma, r0)
     target = float(cir_bond(leg, 0.0, t_max))
     p0_arr, lin, quad = proxy_bond_expansion(rate.alpha, rate.beta, r0, t_max)
@@ -282,13 +265,14 @@ def match_volatility(rate: CirParams, r0: float, t_max: float) -> MatchedVolatil
                 sigma1_hat=math.sqrt(s_star), branch="quadratic-root", residual=residual
             )
 
-    hi = 5.0 * rate.sigma
-    if hi == 0.0:
-        return MatchedVolatility(sigma1_hat=0.0, branch="minimizer-fallback",
-                                 residual=abs(target - p0))
-    vol = _golden_min(lambda v: abs(target - expanded(v * v)), 0.0, hi)
+    s_hi = 25.0 * rate.sigma * rate.sigma
+    trial = [0.0, s_hi]
+    if b != 0.0:
+        trial.append(min(max(-a / (2.0 * b), 0.0), s_hi))
+    s_best = min(trial, key=lambda s: abs(target - expanded(s)))
     return MatchedVolatility(
-        sigma1_hat=vol, branch="minimizer-fallback", residual=abs(target - expanded(vol * vol))
+        sigma1_hat=math.sqrt(s_best), branch="minimizer-fallback",
+        residual=abs(target - expanded(s_best)),
     )
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CirParams", "CirBondCoefficients", "cir_bond", "cir_bond_dT", "feller_margin"]
+__all__ = ["CirParams", "cir_bond", "cir_bond_dT", "feller_margin"]
 
 
 @dataclass(frozen=True)
@@ -46,18 +46,6 @@ class CirParams:
             raise ValueError(f"x0 must be non-negative, got {self.x0}")
         if not np.isfinite([self.alpha, self.beta, self.sigma, self.x0]).all():
             raise ValueError("parameters must be finite")
-
-
-@dataclass(frozen=True)
-class CirBondCoefficients:
-    """Affine coefficients: bond = A * exp(-B * state)."""
-
-    log_a: float
-    b: float
-
-    @property
-    def a(self) -> float:
-        return float(np.exp(self.log_a))
 
 
 def feller_margin(params: CirParams) -> float:
@@ -97,13 +85,6 @@ def cir_bond(params: CirParams, t: float, T, state=None):
     log_a, b, _, _, _ = _affine_coefficients(params, T - t)
     out = np.exp(log_a - b * x)
     return float(out) if out.ndim == 0 else out
-
-
-def cir_bond_coefficients(params: CirParams, t: float, T: float) -> CirBondCoefficients:
-    if T < t:
-        raise ValueError("maturity before evaluation time")
-    log_a, b, _, _, _ = _affine_coefficients(params, T - t)
-    return CirBondCoefficients(log_a=float(log_a), b=float(b))
 
 
 def cir_bond_dT(params: CirParams, t: float, T, state=None):

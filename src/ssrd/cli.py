@@ -5,11 +5,8 @@ library operations, prints an aligned report table to stdout, and -- when
 ``--out DIR`` is given -- writes the same report as ``<command>.txt``,
 ``.csv``, and ``.json`` alongside each other.  Exit status: 0 on success,
 2 on any input problem (missing file, schema violation, bad flag
-combination), 3 when a calibration ran but did not converge.
-
-The quadrature node count can be overridden without touching config
-files through the ``SSRD_QUAD_NODES`` environment variable (useful for
-quick accuracy/runtime sweeps over otherwise frozen inputs).
+combination), 3 when a calibration ran but did not converge.  Any other
+exception is an internal fault and propagates.
 """
 
 from __future__ import annotations
@@ -33,17 +30,16 @@ from .calibrate import (
     run_pipeline,
 )
 from .cir import CirParams, cir_bond
-from .expansion import ModelParams, h_expansion, survival_approx, v_expansion
+from .expansion import AnchorDomainError, ModelParams, expansion_terms, survival_approx
 from .market import (
     MarketDataError,
     PricingConfig,
-    build_schedule,
     load_cds_quotes,
     load_discount_curve,
     load_pricing_config,
 )
 from .mc import McConfig, mc_estimate
-from .pricing import price_cds, spread_curve
+from .pricing import spread_curve
 from .report import CalibrationReport, fmt_bps, fmt_param, fmt_prob, relative_error_pct
 
 __all__ = ["main"]
@@ -88,7 +84,10 @@ def _load_params(path: str) -> ModelParams:
     missing = [k for k in _PARAM_KEYS if k not in kw]
     if missing:
         raise _InputError(f"params {path}: missing keys {', '.join(missing)}")
-    return ModelParams(**kw)
+    try:
+        return ModelParams(**kw)
+    except ValueError as exc:
+        raise _InputError(f"params {path}: {exc}") from None
 
 
 def _parse_tenors(text: str) -> tuple[float, ...]:
@@ -98,17 +97,14 @@ def _parse_tenors(text: str) -> tuple[float, ...]:
         raise _InputError(f"bad tenor list {text!r}") from None
     if not tenors:
         raise _InputError("tenor list is empty")
+    for t in tenors:
+        if not (t > 0.0 and math.isfinite(t)):
+            raise _InputError(f"tenors must be positive and finite, got {t:g}")
     return tenors
 
 
 def _effective_config(args) -> PricingConfig:
     config = load_pricing_config(args.config) if args.config else PricingConfig()
-    env_nodes = os.environ.get("SSRD_QUAD_NODES")
-    if env_nodes:
-        try:
-            config = config.with_overrides(quad_nodes=int(env_nodes))
-        except ValueError:
-            raise _InputError(f"SSRD_QUAD_NODES must be an integer, got {env_nodes!r}") from None
     if getattr(args, "order", None) is not None:
         config = config.with_overrides(order=args.order)
     return config
@@ -283,6 +279,8 @@ def _cmd_full_pipeline(args) -> int:
 
 def _cmd_price(args) -> int:
     params = _load_params(_require(args.params, "--params"))
+    if params.r0 < 0.0:
+        raise _InputError(f"price needs a non-negative short rate, got r0={params.r0}")
     tenors = _parse_tenors(_require(args.tenors, "--tenors"))
     config = _effective_config(args)
     curve = spread_curve(params, tenors, config)
@@ -348,16 +346,18 @@ def _cmd_mc_check(args) -> int:
     params = _load_params(_require(args.params, "--params"))
     tenors = _parse_tenors(_require(args.tenors, "--tenors"))
     config = _effective_config(args)
-    mc_config = McConfig(
-        n_paths=args.paths, step=args.step, seed=args.seed, antithetic=True
-    )
+    try:
+        mc_config = McConfig(
+            n_paths=args.paths, step=args.step, seed=args.seed, antithetic=True
+        )
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
     rows = []
     notes = []
     for T in tenors:
-        model_v = float(v_expansion(params, T, order=config.order, quad_nodes=config.quad_nodes))
-        model_h = float(
-            h_expansion(params, T, order=config.order, quad_nodes=config.quad_nodes)
-        ) * math.exp(-params.alpha2 * T)
+        terms = expansion_terms(params, T, order=config.order, quad_nodes=config.quad_nodes)
+        model_v = float(terms.v()[0])
+        model_h = float(terms.h()[0]) * math.exp(-params.alpha2 * T)
         model_q = float(survival_approx(params.intensity_leg(), T, order=min(config.order, 2)))
         for target, model in (("v", model_v), ("h", model_h), ("q", model_q)):
             est, se = mc_estimate(params, T, target, mc_config)
@@ -386,6 +386,50 @@ def _cmd_mc_check(args) -> int:
 # Argument wiring
 
 
+# Every flag any subcommand takes; each subcommand gets only the ones its
+# handler reads, so anything else is an argparse error (exit 2).
+_FLAGS = {
+    "curve": dict(help="discount curve CSV (# mode=rate|df, # r0=...)"),
+    "quotes": dict(help="CDS quote CSV (tenor, bid, ask[, mid] in bps)"),
+    "config": dict(help="pricing config, flat key=value"),
+    "params": dict(help="model parameter file, key=value"),
+    "tenors": dict(help="comma-separated tenor list in years"),
+    "order": dict(type=int, choices=(0, 1, 2), help="expansion order override"),
+    "weights": dict(choices=WEIGHT_SCHEMES, default="bidask",
+                    help="quote weighting scheme (default bidask)"),
+    "correlated": dict(choices=("yes", "no"), default="yes",
+                       help="fit rho (yes) or pin it to zero (no)"),
+    "tmax": dict(type=float, help="matching horizon (defaults to longest quote)"),
+    "mode": dict(choices=BOOTSTRAP_MODES, default="standard",
+                 help="recursion form (default standard)"),
+    "paths": dict(type=int, default=200_000, help="simulated paths"),
+    "step": dict(type=float, default=0.01, help="Euler step in years"),
+    "seed": dict(type=int, default=0, help="Monte Carlo seed"),
+    "out": dict(help="directory for .txt/.csv/.json report files"),
+}
+
+_CALIBRATION_FLAGS = "curve quotes config order weights correlated out"
+_MODEL_FLAGS = "params tenors config order out"
+
+_COMMANDS = (
+    ("calibrate-rates", _cmd_calibrate_rates, "curve out",
+     "fit the rate factor to discount pillars"),
+    ("match-vol", _cmd_match_vol, "curve quotes tmax out",
+     "matched rate volatility at the longest tenor"),
+    ("calibrate-cds", _cmd_calibrate_cds, _CALIBRATION_FLAGS,
+     "three-step calibration to CDS quotes"),
+    ("price", _cmd_price, _MODEL_FLAGS, "price a spread curve from explicit parameters"),
+    ("survival", _cmd_survival, _MODEL_FLAGS,
+     "model survival probabilities from explicit parameters"),
+    ("bootstrap", _cmd_bootstrap, "quotes config mode out",
+     "market-implied survival from quotes alone"),
+    ("mc-check", _cmd_mc_check, "params tenors config order paths step seed out",
+     "Monte Carlo cross-check of expansion values"),
+    ("full-pipeline", _cmd_full_pipeline, _CALIBRATION_FLAGS,
+     "calibrate, reprice at order 2, and compare survival curves"),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ssrd",
@@ -393,38 +437,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "survival curves, and Monte Carlo cross-checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    for name, func, flags, help_text in _COMMANDS:
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
-        sp.add_argument("--curve", help="discount curve CSV (# mode=rate|df, # r0=...)")
-        sp.add_argument("--quotes", help="CDS quote CSV (tenor, bid, ask[, mid] in bps)")
-        sp.add_argument("--config", help="pricing config, flat key=value")
-        sp.add_argument("--out", help="directory for .txt/.csv/.json report files")
-        sp.add_argument("--order", type=int, choices=(0, 1, 2), help="expansion order override")
-        sp.add_argument("--weights", choices=WEIGHT_SCHEMES, default="bidask",
-                        help="quote weighting scheme (default bidask)")
-        sp.add_argument("--correlated", choices=("yes", "no"), default="yes",
-                        help="fit rho (yes) or pin it to zero (no)")
-        sp.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
-        sp.add_argument("--params", help="model parameter file, key=value")
-        sp.add_argument("--tenors", help="comma-separated tenor list in years")
-        return sp
-
-    add("calibrate-rates", _cmd_calibrate_rates, "fit the rate factor to discount pillars")
-    mv = add("match-vol", _cmd_match_vol, "matched rate volatility at the longest tenor")
-    mv.add_argument("--tmax", type=float, help="matching horizon (defaults to longest quote)")
-    add("calibrate-cds", _cmd_calibrate_cds, "three-step calibration to CDS quotes")
-    add("price", _cmd_price, "price a spread curve from explicit parameters")
-    add("survival", _cmd_survival, "model survival probabilities from explicit parameters")
-    bs = add("bootstrap", _cmd_bootstrap, "market-implied survival from quotes alone")
-    bs.add_argument("--mode", choices=BOOTSTRAP_MODES, default="standard",
-                    help="recursion form (default standard)")
-    mc = add("mc-check", _cmd_mc_check, "Monte Carlo cross-check of expansion values")
-    mc.add_argument("--paths", type=int, default=200_000, help="simulated paths")
-    mc.add_argument("--step", type=float, default=0.01, help="Euler step in years")
-    add("full-pipeline", _cmd_full_pipeline,
-        "calibrate, reprice at order 2, and compare survival curves")
+        for flag in flags.split():
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -435,10 +452,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2
-    except (_InputError, MarketDataError, CalibrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (_InputError, MarketDataError, CalibrationError, AnchorDomainError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -56,9 +56,7 @@ __all__ = [
     "v_expansion",
     "h_expansion",
     "survival_approx",
-    "zcb_approx",
     "proxy_bond_expansion",
-    "kernel_integral",
     "ANCHOR_FLOOR",
 ]
 
@@ -69,6 +67,9 @@ __all__ = [
 ANCHOR_FLOOR = 1e-10
 
 _QUAD_BLOCK = 1 << 16
+
+# Gauss-Legendre nodes for each integral in the one-leg sigma^2 coefficients.
+_BOND_NODES = 32
 
 
 class AnchorDomainError(ValueError):
@@ -171,12 +172,6 @@ class _ProxyMoments:
             )
 
     # mean path of the rescaled state, exact
-    def xbar(self, s):
-        return self.x + self.p.alpha1 * self.p.beta1 * psi(self.p.alpha1, self.t0, s)
-
-    def ybar(self, s):
-        return self.y + self.p.alpha2 * self.p.beta2 * psi(self.p.alpha2, self.t0, s)
-
     def _frac_anchor(self, s, base, alpha, beta, label):
         vals = np.asarray(base + alpha * beta * psi(alpha, self.t0, s), dtype=float)
         if np.any(vals <= 0.0):
@@ -355,16 +350,15 @@ def h_expansion(params: ModelParams, maturities, *, order: int = 2,
 # One-leg closed forms
 # --------------------------------------------------------------------------
 
-def proxy_bond_expansion(alpha: float, beta: float, state: float, maturities,
-                         t: float = 0.0, *, quad_nodes: int = 32):
+def proxy_bond_expansion(alpha: float, beta: float, state: float, maturities):
     """Volatility-squared Taylor coefficients of a one-leg transform.
 
     Returns (p0, lin, quad) such that
 
-        E[exp(-int_t^T X_u du)] ~= p0 * (1 + lin * sigma^2 + quad * sigma^4)
+        E[exp(-int_0^T X_u du)] ~= p0 * (1 + lin * sigma^2 + quad * sigma^4)
 
     for the square-root leg dX = alpha (beta - X) dt + sigma sqrt(X) dW with
-    X_t = state.  The coefficients come from perturbing the bond ODE system
+    X_0 = state.  The coefficients come from perturbing the bond ODE system
     in sigma^2: with B0(w) = psi(-alpha, 0, w),
 
         B1(w) = -1/2 int_0^w e^{-alpha (w-u)} B0(u)^2 du
@@ -377,14 +371,14 @@ def proxy_bond_expansion(alpha: float, beta: float, state: float, maturities,
     through O(sigma^2) and sharpens the sigma^4 term.
     """
     T = np.asarray(maturities, dtype=float)
-    tau = np.atleast_1d(T - t)
+    tau = np.atleast_1d(T)
     if np.any(tau < -1e-12):
-        raise ValueError("maturities must not precede the evaluation time")
+        raise ValueError("maturities must be non-negative")
     tau = np.maximum(tau, 0.0)
     y = float(state)
     alpha = float(alpha)
     beta = float(beta)
-    n = int(quad_nodes)
+    n = _BOND_NODES
 
     def b1(w):
         # w: any array; inner nodes add one trailing axis
@@ -410,11 +404,10 @@ def proxy_bond_expansion(alpha: float, beta: float, state: float, maturities,
     return p0, lin, quad
 
 
-def survival_approx(leg: CirParams, maturities, t: float = 0.0, *,
-                    order: int = 1, quad_nodes: int = 32):
+def survival_approx(leg: CirParams, maturities, *, order: int = 1):
     """Low-order survival probability E[exp(-int lam)] for one leg.
 
-    ``leg.x0`` is the intensity level at time ``t``.  ``order`` counts powers
+    ``leg.x0`` is the intensity level at time zero.  ``order`` counts powers
     of sigma^2: 0 gives the deterministic-limit survival, 1 adds the exact
     O(sigma^2) convexity correction and is the form used for acceptance
     checks, 2 adds the O(sigma^4) term used when inverting for a matched
@@ -422,72 +415,10 @@ def survival_approx(leg: CirParams, maturities, t: float = 0.0, *,
     """
     if order not in (0, 1, 2):
         raise ValueError("survival order must be 0, 1 or 2")
-    p0, lin, quad = proxy_bond_expansion(leg.alpha, leg.beta, leg.x0, maturities,
-                                         t=t, quad_nodes=quad_nodes)
+    p0, lin, quad = proxy_bond_expansion(leg.alpha, leg.beta, leg.x0, maturities)
     s2 = leg.sigma * leg.sigma
     corr = 0.0 if order < 1 else s2 * lin
     if order >= 2:
         corr = corr + s2 * s2 * quad
     out = p0 * (1.0 + corr)
     return float(out) if np.ndim(maturities) == 0 else out
-
-
-def zcb_approx(leg: CirParams, maturities, t: float = 0.0, *,
-               order: int = 2, quad_nodes: int = 32):
-    """Same expansion read as a zero-coupon bond price for a rate leg.
-
-    Defaults to order 2 (in sigma^2) because its consumer is the matched
-    volatility inversion, which needs the quadratic term.
-    """
-    return survival_approx(leg, maturities, t=t, order=order, quad_nodes=quad_nodes)
-
-
-# --------------------------------------------------------------------------
-# Kernel integrals (exposed mainly for validation)
-# --------------------------------------------------------------------------
-
-_MOMENT_FAMILIES = {
-    "one": (),
-    "c11": ("c11",),
-    "c22": ("c22",),
-    "c12": ("c12",),
-    "c11*c12": ("c11", "c12"),
-    "c22*c12": ("c22", "c12"),
-    "c11*c22": ("c11", "c22"),
-}
-
-
-def kernel_integral(params: ModelParams, family: str, i: int, j: int, t1, t2, *,
-                    power: int = 1, growth: float | None = None,
-                    quad_nodes: int = 32, t: float = 0.0,
-                    state: tuple[float, float] | None = None):
-    """Quadrature of exp(g u) xbar^{i/2} ybar^{j/2} <moments>^power over [t1, t2].
-
-    ``family`` picks the proxy-moment product (e.g. "c11", "c12", "c11*c22",
-    or "one" for a pure mean-path weight); ``power`` applies to single-moment
-    families only.  Anchors stay at time ``t`` regardless of the limits,
-    matching their use inside the expansion integrals.
-    """
-    if family not in _MOMENT_FAMILIES:
-        raise ValueError(f"unknown moment family {family!r}")
-    names = _MOMENT_FAMILIES[family]
-    if power != 1 and len(names) != 1:
-        raise ValueError("power only applies to single-moment families")
-    r_t, lam_t = state if state is not None else (params.r0, params.lambda0)
-    x = math.exp(params.alpha1 * t) * float(r_t)
-    y = math.exp(params.alpha2 * t) * float(lam_t)
-    mom = _ProxyMoments(params, t, x, y, quad_nodes)
-    g = params.alpha_bar if growth is None else float(growth)
-    lo = np.asarray(t1, dtype=float)
-    hi = np.asarray(t2, dtype=float)
-    u, w = gauss_legendre(lo, hi, quad_nodes)
-    vals = np.exp(g * u)
-    if i != 0:
-        vals = vals * mom.xbar_frac(u) ** (0.5 * i)
-    if j != 0:
-        vals = vals * mom.ybar_frac(u) ** (0.5 * j)
-    for name in names:
-        m = getattr(mom, name)(u)
-        vals = vals * (m ** power if len(names) == 1 else m)
-    out = np.sum(w * vals, axis=-1)
-    return float(out) if (np.ndim(t1) == 0 and np.ndim(t2) == 0) else out

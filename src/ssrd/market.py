@@ -15,7 +15,6 @@ File formats are deliberately plain text so fixtures stay diffable:
 
 from __future__ import annotations
 
-import bisect
 import calendar
 import datetime as _dt
 import math
@@ -30,7 +29,6 @@ __all__ = [
     "PricingConfig",
     "Schedule",
     "load_discount_curve",
-    "save_discount_curve",
     "load_cds_quotes",
     "load_pricing_config",
     "build_schedule",
@@ -51,8 +49,10 @@ class DiscountCurve:
     """Discount factors on an ascending tenor grid (years).
 
     Factors above 1 are accepted (negative-rate curves) up to a sanity cap
-    of 1.5.  No interpolation is offered: the calibration only ever reads
-    the quoted pillars.
+    of 1.5.  The observed short rate, when given, must be finite and
+    non-negative: it is the initial state of a square-root factor.  No
+    interpolation is offered: the calibration only ever reads the quoted
+    pillars.
     """
 
     tenors: tuple[float, ...]
@@ -77,18 +77,9 @@ class DiscountCurve:
                 raise MarketDataError(f"discount factor {p} at {t}y outside (0, 1.5]")
             if t == 0.0 and abs(p - 1.0) > 1e-12:
                 raise MarketDataError("discount factor at t=0 must be 1")
-
-    def df(self, tenor: float) -> float:
-        """Discount factor at an exact grid tenor."""
-        i = bisect.bisect_left(self.tenors, tenor - 1e-12)
-        if i < len(self.tenors) and abs(self.tenors[i] - tenor) <= 1e-12:
-            return self.dfs[i]
-        raise MarketDataError(f"tenor {tenor} not on curve grid")
-
-    def zero_rate(self, tenor: float) -> float:
-        if tenor <= 0:
-            raise MarketDataError("zero rate needs a positive tenor")
-        return -math.log(self.df(tenor)) / tenor
+        r0 = self.short_rate
+        if r0 is not None and not (math.isfinite(r0) and r0 >= 0.0):
+            raise MarketDataError(f"short rate r0 must be finite and non-negative, got {r0}")
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.tenors), np.asarray(self.dfs)
@@ -119,11 +110,11 @@ def _parse_float(token: str, where: str) -> float:
         raise MarketDataError(f"non-numeric value {token!r} in {where}") from None
 
 
-def load_discount_curve(path, mode: str | None = None) -> DiscountCurve:
-    """Read a curve CSV; ``mode`` overrides the file's ``# mode=`` header."""
+def load_discount_curve(path) -> DiscountCurve:
+    """Read a curve CSV in the mode its ``# mode=`` header names."""
     with open(path, "r", encoding="utf-8") as fh:
         meta, rows = _parse_comment_headers(fh)
-    mode = (mode or meta.get("mode", "")).lower()
+    mode = meta.get("mode", "").lower()
     if mode not in ("rate", "df"):
         raise MarketDataError(f"curve {path}: mode must be 'rate' or 'df', got {mode!r}")
     tenors, values = [], []
@@ -152,17 +143,6 @@ def load_discount_curve(path, mode: str | None = None) -> DiscountCurve:
     if "r0" in meta:
         r0 = _parse_float(meta["r0"], f"{path} header r0")
     return DiscountCurve(tenors=tuple(tenors), dfs=tuple(dfs), short_rate=r0)
-
-
-def save_discount_curve(curve: DiscountCurve, path) -> None:
-    """Write a curve as df-mode CSV; reload reproduces factors bit-exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# mode=df\n")
-        if curve.short_rate is not None:
-            fh.write(f"# r0={curve.short_rate!r}\n")
-        fh.write("tenor_years,value\n")
-        for t, p in zip(curve.tenors, curve.dfs):
-            fh.write(f"{t!r},{p!r}\n")
 
 
 # --------------------------------------------------------------------------
@@ -200,13 +180,6 @@ class CdsQuoteSet:
                     raise MarketDataError(f"mid outside bid/ask at tenor {t}")
             elif abs(m - b) > 1e-9:
                 raise MarketDataError(f"mid must equal bid when bid == ask (tenor {t})")
-
-    def __len__(self) -> int:
-        return len(self.tenors)
-
-    @property
-    def mid_decimal(self) -> np.ndarray:
-        return np.asarray(self.mid_bps) * 1e-4
 
 
 def load_cds_quotes(path) -> CdsQuoteSet:
@@ -331,10 +304,7 @@ def _year_fraction(d1: _dt.date, d2: _dt.date, day_count: str) -> float:
 class Schedule:
     """Premium payment grid: times in years from valuation, t0 = 0 implicit.
 
-    ``accruals[i]`` is the year fraction of (times[i-1], times[i]].  For a
-    running time s in (0, maturity], ``payment_index(s)`` returns the index
-    of the first payment time >= s, so that
-    ``previous_time(s) < s <= times[payment_index(s)]``.
+    ``accruals[i]`` is the year fraction of (times[i-1], times[i]].
     """
 
     times: tuple[float, ...]
@@ -354,19 +324,6 @@ class Schedule:
             if abs(a - (t - prev)) > 1e-12:
                 raise MarketDataError("accrual inconsistent with payment times")
             prev = t
-
-    @property
-    def maturity(self) -> float:
-        return self.times[-1]
-
-    def payment_index(self, s: float) -> int:
-        if not (0.0 < s <= self.maturity + 1e-12):
-            raise MarketDataError(f"time {s} outside (0, maturity]")
-        return min(bisect.bisect_left(self.times, s - 1e-12), len(self.times) - 1)
-
-    def previous_time(self, s: float) -> float:
-        i = self.payment_index(s)
-        return 0.0 if i == 0 else self.times[i - 1]
 
     def is_prefix_of(self, other: "Schedule") -> bool:
         n = len(self.times)

@@ -53,6 +53,8 @@ class McConfig:
             raise ValueError(f"path count must be >= 1, got {self.n_paths}")
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise ValueError(f"step must be positive, got {self.step}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _deterministic_estimate(params: ModelParams, T: float, target: str) -> tuple[float, float]:

@@ -193,6 +193,8 @@ def test_matched_vol_falls_back_to_minimizer_when_no_root_reaches_target():
 def test_matched_vol_rejects_nonpositive_horizon():
     with pytest.raises(CalibrationError, match="horizon"):
         match_volatility(RATE, RATE.x0, 0.0)
+    with pytest.raises(CalibrationError, match="horizon"):
+        match_volatility(RATE, RATE.x0, float("nan"))
 
 
 # --------------------------------------------------------------------------

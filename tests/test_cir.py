@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from conftest import INTENSITY_SETS, RATE_FIXTURE, intensity_leg_params, rate_leg_params
-from ssrd.cir import CirParams, cir_bond, cir_bond_coefficients, cir_bond_dT, feller_margin
+from ssrd.cir import CirParams, cir_bond, cir_bond_dT, feller_margin
 
 
 def _riccati_oracle(params: CirParams, tau: float) -> tuple[float, float]:
@@ -40,9 +40,10 @@ PARAM_CASES = [rate_leg_params()] + [intensity_leg_params(n) for n in INTENSITY_
 @pytest.mark.parametrize("tau", [0.25, 1.0, 5.0, 30.0])
 def test_bond_matches_riccati_ode(params, tau):
     phi, b = _riccati_oracle(params, tau)
-    coeff = cir_bond_coefficients(params, 0.0, tau)
-    assert coeff.log_a == pytest.approx(phi, abs=5e-11)
-    assert coeff.b == pytest.approx(b, rel=1e-10)
+    # state 0 isolates log A; a second state then pins B
+    assert np.log(cir_bond(params, 0.0, tau, state=0.0)) == pytest.approx(phi, abs=5e-11)
+    slope = -np.log(cir_bond(params, 0.0, tau, state=1.0) / cir_bond(params, 0.0, tau, state=0.0))
+    assert slope == pytest.approx(b, rel=1e-10)
     assert cir_bond(params, 0.0, tau) == pytest.approx(np.exp(phi - b * params.x0), rel=1e-10)
 
 
@@ -85,9 +86,10 @@ def test_bond_accepts_maturity_arrays_and_explicit_state():
     assert vec.shape == (3,)
     for tau, v in zip(taus, vec):
         assert v == cir_bond(params, 0.0, float(tau))
+    # exponential-affine in the state: P(2x) P(0) = P(x)^2
     shifted = cir_bond(params, 0.0, 1.0, state=2 * params.x0)
-    coeff = cir_bond_coefficients(params, 0.0, 1.0)
-    assert shifted == pytest.approx(coeff.a * np.exp(-coeff.b * 2 * params.x0), rel=1e-14)
+    base = cir_bond(params, 0.0, 1.0, state=0.0)
+    assert shifted * base == pytest.approx(cir_bond(params, 0.0, 1.0) ** 2, rel=1e-14)
 
 
 def test_bond_rejects_maturity_before_evaluation_time():

@@ -124,20 +124,6 @@ def test_order_flag_overrides_config(market_dir, capsys):
     assert spread(low) == expected
 
 
-def test_quad_nodes_env_override(market_dir, capsys, monkeypatch):
-    monkeypatch.setenv("SSRD_QUAD_NODES", "48")
-    code = run_cli("price", "--params", str(market_dir / "params.txt"),
-                   "--config", str(market_dir / "config.txt"), "--tenors", "2.0")
-    assert code == 0
-    assert re.search(r"^\s*quad_nodes\s+= 48$", capsys.readouterr().out, re.M)
-
-    monkeypatch.setenv("SSRD_QUAD_NODES", "many")
-    code = run_cli("price", "--params", str(market_dir / "params.txt"),
-                   "--config", str(market_dir / "config.txt"), "--tenors", "2.0")
-    assert code == 2
-    assert "SSRD_QUAD_NODES must be an integer" in capsys.readouterr().err
-
-
 def test_default_fixed_roll_without_valuation_is_an_input_error(market_dir, capsys):
     # No --config means the fixed-roll default, which cannot build schedules
     # without a valuation date; the CLI reports that as an input problem.
@@ -304,6 +290,61 @@ def test_params_file_schema_errors(market_dir, tmp_path, capsys):
     code = run_cli("price", "--params", str(p2), "--tenors", "1.0")
     assert code == 2
     assert "missing keys" in capsys.readouterr().err
+
+
+def test_negative_short_rate_is_rejected_once(market_dir, tmp_path, capsys):
+    p = tmp_path / "curve.csv"
+    p.write_text((market_dir / "curve.csv").read_text().replace(f"# r0={RATE.x0!r}", "# r0=-0.01"))
+    code = run_cli("calibrate-rates", "--curve", str(p))
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: short rate r0 must be finite and non-negative, got -0.01"]
+
+
+def test_values_the_commands_cannot_take_exit_two(market_dir, tmp_path, capsys):
+    code = run_cli("mc-check", "--params", str(market_dir / "params.txt"),
+                   "--config", str(market_dir / "config.txt"), "--tenors", "1.0,0")
+    assert code == 2
+    assert "tenors must be positive" in capsys.readouterr().err
+
+    p = tmp_path / "p.txt"
+    p.write_text((market_dir / "params.txt").read_text().replace(f"r0={RATE.x0}", "r0=-0.003"))
+    code = run_cli("price", "--params", str(p), "--config", str(market_dir / "config.txt"),
+                   "--tenors", "1.0")
+    assert code == 2
+    assert "price needs a non-negative short rate, got r0=-0.003" in capsys.readouterr().err
+
+
+def test_bad_simulation_controls_exit_two(market_dir, capsys):
+    for flag, value, fragment in (("--seed", "-1", "seed must be non-negative"),
+                                  ("--paths", "0", "path count must be >= 1")):
+        code = run_cli("mc-check", "--params", str(market_dir / "params.txt"),
+                       "--config", str(market_dir / "config.txt"), "--tenors", "1.0",
+                       flag, value)
+        assert code == 2
+        assert fragment in capsys.readouterr().err
+
+
+def test_flags_a_command_does_not_read_exit_two(market_dir, capsys):
+    for argv in (("calibrate-rates", "--curve", str(market_dir / "curve.csv"), "--seed", "3"),
+                 ("survival", "--params", str(market_dir / "params.txt"), "--tenors", "1",
+                  "--weights", "uniform")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_reported_as_bad_input(market_dir, monkeypatch):
+    import ssrd.cli as cli_mod
+
+    def broken(*a, **kw):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli_mod, "spread_curve", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        run_cli("price", "--params", str(market_dir / "params.txt"),
+                "--config", str(market_dir / "config.txt"), "--tenors", "1.0")
 
 
 def test_invalid_parameter_values_exit_two(market_dir, tmp_path, capsys):

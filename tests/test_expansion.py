@@ -6,7 +6,8 @@ Oracle routes used here, none of which share code with the implementation:
   one-leg transforms, so order-2 output is checked against that product;
 * zero volatility   -- everything collapses to deterministic mean-path
   integrals with closed forms written out inline;
-* kernel integrals  -- brute-force trapezoid rules on dense grids;
+* proxy moments    -- adaptive quadrature and brute-force trapezoid rules
+  on dense grids;
 * sigma^2 Taylor    -- coefficient correctness shown by the error decaying
   like sigma^6 against the exact one-leg transform.
 """
@@ -29,13 +30,11 @@ from ssrd.expansion import (
     _ProxyMoments,
     expansion_terms,
     h_expansion,
-    kernel_integral,
     proxy_bond_expansion,
     survival_approx,
     v_expansion,
-    zcb_approx,
 )
-from ssrd.timeint import psi, theta
+from ssrd.timeint import gauss_legendre, psi
 
 MATURITIES = np.array([0.5, 1.0, 2.0, 3.0, 5.0])
 
@@ -260,27 +259,21 @@ def test_survival_zero_vol_is_exact():
         survival_approx(leg, T, order=3)
 
 
-def test_zcb_alias_defaults_to_quadratic_order():
-    leg = CirParams(0.2, 0.03, 0.05, 0.02)
-    assert zcb_approx(leg, 4.0) == survival_approx(leg, 4.0, order=2)
-
-
 # --------------------------------------------------------------------------
-# Kernel integrals vs brute-force quadrature
+# Proxy moments vs brute-force quadrature
 # --------------------------------------------------------------------------
 
 
-def test_kernel_identity_family_reduces_to_exponential_integral():
-    model = make_model("mid2")
-    for g in (-0.3, 0.0, 0.7):
-        got = kernel_integral(model, "one", 0, 0, 0.25, 2.0, growth=g)
-        assert got == pytest.approx(psi(g, 0.25, 2.0), rel=1e-13)
+def _moments(model, t0=0.0, nodes=32):
+    x = math.exp(model.alpha1 * t0) * model.r0
+    y = math.exp(model.alpha2 * t0) * model.lambda0
+    return _ProxyMoments(model, t0, x, y, nodes)
 
 
 def test_kernel_empty_interval_is_zero():
     model = make_model("mid2")
-    assert kernel_integral(model, "c12", 1, 1, 1.0, 1.0) == 0.0
-    assert kernel_integral(model, "one", 2, 0, 0.5, 0.5) == 0.0
+    assert _moments(model).c12(0.0) == 0.0
+    assert _moments(model, t0=0.5).c12(0.5) == 0.0
 
 
 def test_kernel_mean_path_weight_matches_adaptive_quadrature():
@@ -295,7 +288,9 @@ def test_kernel_mean_path_weight_matches_adaptive_quadrature():
 
     oracle, _ = quad(lambda u: np.exp(0.1 * u) * xbar(u) * np.sqrt(ybar(u)), 0.0, 3.0,
                      epsabs=1e-15, epsrel=1e-13)
-    got = kernel_integral(model, "one", 2, 1, 0.0, 3.0, growth=0.1)
+    mom = _moments(model)
+    u, w = gauss_legendre(0.0, 3.0, 32)
+    got = np.sum(w * np.exp(0.1 * u) * mom.xbar_frac(u) * mom.ybar_frac(u) ** 0.5)
     assert got == pytest.approx(oracle, rel=1e-10)
 
 
@@ -311,44 +306,26 @@ def test_kernel_cross_covariance_family_matches_dense_trapezoid():
     root = np.sqrt(xbar * ybar)
     c12 = model.rho_hat * cumulative_trapezoid(growth * root, u, initial=0.0)
     oracle = np.trapezoid(growth * root * c12, u)
-    got = kernel_integral(model, "c12", 1, 1, 0.0, 1.0)
+    mom = _moments(model)
+    s, w = gauss_legendre(0.0, 1.0, 32)
+    got = np.sum(w * np.exp(model.alpha_bar * s)
+                 * np.sqrt(mom.xbar_frac(s) * mom.ybar_frac(s)) * mom.c12(s))
     assert got == pytest.approx(oracle, rel=1e-8)
 
 
-def test_kernel_variance_family_with_power_matches_trapezoid():
-    model = make_model("fast")
-    n = 200_001
-    u = np.linspace(0.0, 2.0, n)
-    lam_psi = psi(model.alpha2, 0.0, u)
-    # c22 in closed form from public primitives
-    c22 = model.sigma2**2 * (model.lambda0 * lam_psi
-                             + model.alpha2 * model.beta2 * theta(model.alpha2, model.alpha2, 0.0, u))
-    oracle = np.trapezoid(c22**2, u)
-    got = kernel_integral(model, "c22", 0, 0, 0.0, 2.0, growth=0.0, power=2)
-    assert got == pytest.approx(oracle, rel=1e-9)
-
-
 def test_kernel_cross_family_vanishes_without_correlation():
-    model = make_model("mid2", rho=0.0)
-    assert kernel_integral(model, "c12", 1, 1, 0.0, 2.0) == 0.0
-    assert kernel_integral(model, "c11*c12", 0, 0, 0.0, 2.0) == 0.0
-
-
-def test_kernel_rejects_bad_requests():
-    model = make_model("mid1")
-    with pytest.raises(ValueError, match="moment family"):
-        kernel_integral(model, "c13", 0, 0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="power"):
-        kernel_integral(model, "c11*c22", 0, 0, 0.0, 1.0, power=2)
+    mom = _moments(make_model("mid2", rho=0.0))
+    s = np.linspace(0.0, 2.0, 9)
+    assert np.array_equal(mom.c12(s), np.zeros_like(s))
 
 
 def test_kernel_broadcasts_interval_arrays():
-    model = make_model("mid1")
-    hi = np.array([1.0, 2.0])
-    got = kernel_integral(model, "c22", 0, 1, 0.0, hi)
-    assert got.shape == (2,)
-    for k, h in enumerate(hi):
-        assert got[k] == pytest.approx(kernel_integral(model, "c22", 0, 1, 0.0, float(h)), rel=1e-14)
+    mom = _moments(make_model("mid1"))
+    hi = np.array([[1.0, 2.0], [0.5, 4.0]])
+    got = mom.c12(hi)
+    assert got.shape == (2, 2)
+    for k, h in np.ndenumerate(hi):
+        assert got[k] == pytest.approx(mom.c12(float(h)), rel=1e-14)
 
 
 # --------------------------------------------------------------------------
@@ -396,7 +373,7 @@ def test_negative_mean_path_anchor_raises_before_fractional_power():
     # the mean path extrapolates below zero; fractional powers must refuse.
     model = make_model("mid2", alpha2=1.0, beta2=1.0, lambda0=0.1)
     with pytest.raises(AnchorDomainError, match="intensity mean-path anchor non-positive"):
-        kernel_integral(model, "c12", 1, 1, 0.0, 1.0, t=1.0, growth=0.0)
+        _moments(model, t0=1.0).c12(0.0)
 
 
 def test_negative_short_rate_prices_when_uncorrelated():

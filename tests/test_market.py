@@ -5,10 +5,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ssrd.market import (
     CdsQuoteSet,
@@ -21,7 +18,6 @@ from ssrd.market import (
     load_cds_quotes,
     load_discount_curve,
     load_pricing_config,
-    save_discount_curve,
 )
 
 # --------------------------------------------------------------------------
@@ -49,24 +45,19 @@ def test_curve_df_mode_and_sorting(tmp_path):
 
 
 def test_curve_save_load_round_trip_is_bit_exact(tmp_path):
+    # A df-mode file written with repr() reloads to the identical floats.
     curve = DiscountCurve(
         tenors=(0.5, 1.0, 7.0),
         dfs=(0.9901490802344368, 0.9803973440089097, 0.8693582353988059),
         short_rate=0.0198,
     )
     p = tmp_path / "out.csv"
-    save_discount_curve(curve, p)
+    p.write_text(f"# mode=df\n# r0={curve.short_rate!r}\ntenor_years,value\n"
+                 + "".join(f"{t!r},{d!r}\n" for t, d in zip(curve.tenors, curve.dfs)))
     back = load_discount_curve(p)
     assert back.tenors == curve.tenors
     assert back.dfs == curve.dfs  # exact equality, repr round trip
     assert back.short_rate == curve.short_rate
-
-
-def test_curve_mode_argument_overrides_header(tmp_path):
-    p = tmp_path / "curve.csv"
-    p.write_text("# mode=rate\n1.0,0.95\n")
-    curve = load_discount_curve(p, mode="df")
-    assert curve.dfs == (0.95,)
 
 
 @pytest.mark.parametrize(
@@ -81,6 +72,8 @@ def test_curve_mode_argument_overrides_header(tmp_path):
         ("# mode=df\n1.0,1.7\n", "outside"),
         ("# mode=df\n0.0,0.99\n", "must be 1"),
         ("# mode=df\n-1.0,0.99\n", "negative tenor"),
+        ("# mode=df\n# r0=-0.01\n1.0,0.99\n", r"r0 must be finite and non-negative, got -0\.01"),
+        ("# mode=df\n# r0=nan\n1.0,0.99\n", "r0 must be finite"),
     ],
 )
 def test_curve_loader_rejects_malformed_files(tmp_path, body, fragment):
@@ -92,14 +85,7 @@ def test_curve_loader_rejects_malformed_files(tmp_path, body, fragment):
 
 def test_curve_accepts_negative_rate_factors_above_one():
     curve = DiscountCurve(tenors=(1.0,), dfs=(1.002,))
-    assert curve.zero_rate(1.0) < 0.0
-
-
-def test_curve_df_lookup_requires_grid_tenor():
-    curve = DiscountCurve(tenors=(1.0, 2.0), dfs=(0.98, 0.96))
-    assert curve.df(2.0) == 0.96
-    with pytest.raises(MarketDataError, match="grid"):
-        curve.df(1.5)
+    assert curve.dfs == (1.002,)
 
 
 # --------------------------------------------------------------------------
@@ -114,7 +100,6 @@ def test_quotes_three_columns_mid_defaults_to_midpoint(tmp_path):
     assert q.currency == "EUR"
     assert q.valuation == dt.date(2004, 3, 10)
     assert q.mid_bps == (21.0, 30.5)
-    assert np.allclose(q.mid_decimal, [21e-4, 30.5e-4])
 
 
 def test_quotes_fourth_column_overrides_midpoint(tmp_path):
@@ -147,7 +132,7 @@ def test_quotes_loader_rejects_malformed_files(tmp_path, body, fragment):
 
 def test_quotes_equal_bid_ask_requires_equal_mid():
     q = CdsQuoteSet(tenors=(1.0,), bid_bps=(20.0,), ask_bps=(20.0,), mid_bps=(20.0,))
-    assert len(q) == 1
+    assert q.mid_bps == (20.0,)
     with pytest.raises(MarketDataError, match="mid must equal bid"):
         CdsQuoteSet(tenors=(1.0,), bid_bps=(20.0,), ask_bps=(20.0,), mid_bps=(21.0,))
 
@@ -236,7 +221,7 @@ def test_anniversary_schedule_abstract_grid():
     sched = build_schedule(None, 3.0, cfg)
     assert sched.times == tuple(0.5 * k for k in range(1, 7))
     assert sched.accruals == (0.5,) * 6
-    assert sched.maturity == 3.0
+    assert sched.times[-1] == 3.0
 
 
 def test_anniversary_schedule_stub_for_fractional_tenor():
@@ -299,31 +284,6 @@ def test_add_months_clamps_to_month_end():
     assert add_months(dt.date(2004, 1, 31), 1) == dt.date(2004, 2, 29)
     assert add_months(dt.date(2003, 1, 31), 1) == dt.date(2003, 2, 28)
     assert add_months(dt.date(2004, 11, 30), 3) == dt.date(2005, 2, 28)
-
-
-def test_payment_index_brackets_running_time():
-    sched = build_schedule(None, 2.0, PricingConfig(roll="anniversary"))
-    # s strictly inside a period points at the period's payment date.
-    assert sched.payment_index(0.25) == 0
-    assert sched.payment_index(0.75) == 1
-    # s exactly on a payment date belongs to that period, not the next.
-    assert sched.payment_index(0.5) == 0
-    assert sched.previous_time(0.5) == 0.0
-    assert sched.previous_time(1.7) == 1.5
-    with pytest.raises(MarketDataError):
-        sched.payment_index(0.0)
-    with pytest.raises(MarketDataError):
-        sched.payment_index(2.5)
-
-
-@given(s=st.floats(1e-9, 4.0))
-@settings(max_examples=300, deadline=None)
-def test_payment_index_bracket_property(s):
-    sched = build_schedule(None, 4.0, PricingConfig(roll="anniversary", frequency_months=3))
-    i = sched.payment_index(s)
-    assert sched.previous_time(s) < s + 1e-12 <= sched.times[i] + 2e-12
-    if i > 0:
-        assert sched.times[i - 1] < s + 1e-12
 
 
 def test_schedule_prefix_relation():

@@ -24,6 +24,8 @@ def test_config_validation():
         McConfig(step=0.0)
     with pytest.raises(ValueError, match="step"):
         McConfig(step=float("inf"))
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        McConfig(seed=-1)
 
 
 def test_estimate_input_validation():
