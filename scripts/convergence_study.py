@@ -17,7 +17,7 @@ import numpy as np
 
 from run_synthetic_pipeline import CREDIT_SETS, RATE
 from ssrd.cir import cir_bond
-from ssrd.expansion import ModelParams, h_expansion, v_expansion
+from ssrd.expansion import ModelParams, expansion_terms, v_expansion
 from ssrd.mc import McConfig, mc_estimate
 
 
@@ -44,16 +44,16 @@ def mc_study(model, maturities, orders, paths, step, seed):
     print(f"{'T':>8}{'target':>8}{'mc':>14}{'se':>12}"
           + "".join(f"{f'gap/se ord {n}':>15}" for n in orders))
     for T in maturities:
+        estimates = mc_estimate(model, float(T), config=cfg)
+        terms = {n: expansion_terms(model, float(T), order=n) for n in orders}
         for target in ("v", "h"):
-            est, se = mc_estimate(model, float(T), target, cfg)
+            est, se = estimates[target]
             row = f"{T:>8.4f}{target:>8}{est:>14.8f}{se:>12.2e}"
             for n in orders:
                 if target == "v":
-                    approx = v_expansion(model, float(T), order=n)
+                    approx = float(terms[n].v()[0])
                 else:
-                    approx = h_expansion(model, float(T), order=n) * math.exp(
-                        -model.alpha2 * float(T)
-                    )
+                    approx = float(terms[n].h()[0]) * math.exp(-model.alpha2 * float(T))
                 row += f"{(approx - est) / se:>15.2f}"
             print(row)
 

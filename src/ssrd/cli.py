@@ -359,8 +359,9 @@ def _cmd_mc_check(args) -> int:
         model_v = float(terms.v()[0])
         model_h = float(terms.h()[0]) * math.exp(-params.alpha2 * T)
         model_q = float(survival_approx(params.intensity_leg(), T, order=min(config.order, 2)))
+        estimates = mc_estimate(params, T, config=mc_config)
         for target, model in (("v", model_v), ("h", model_h), ("q", model_q)):
-            est, se = mc_estimate(params, T, target, mc_config)
+            est, se = estimates[target]
             z = (model - est) / se if se > 0.0 else 0.0
             rows.append(
                 (f"{T:g}", target, f"{est:.8f}", f"{se:.2e}", f"{model:.8f}", f"{z:+.2f}")

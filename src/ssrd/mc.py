@@ -7,7 +7,7 @@ see only its positive part, so all simulated quantities stay nonnegative.
 Factor increments are correlated through Z2 = rho Z1 + sqrt(1-rho^2) W.
 Time integrals use the trapezoid rule on the simulation grid.
 
-Targets:
+Targets, all three read off one set of simulated paths:
     v   E[exp(-int_0^T (r+lambda))]           (defaultable bond kernel)
     h   E[exp(-int_0^T (r+lambda)) lambda_T]  (unscaled default-leg density)
     q   E[exp(-int_0^T lambda)]               (survival probability)
@@ -19,8 +19,8 @@ Paths are split into fixed-size blocks with seeds derived from one
 ``SeedSequence``, and block results reduce in block order, so estimates
 are bit-identical for a given seed no matter how the work is scheduled.
 When both volatilities are zero the paths are deterministic and the
-estimate is returned from the closed-form mean paths directly: exact
-value, zero standard error.
+estimates are returned from the closed-form mean paths directly: exact
+values, zero standard errors.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from .expansion import ModelParams
 __all__ = ["McConfig", "mc_estimate"]
 
 _BLOCK = 16384
-
-_TARGETS = ("v", "h", "q")
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,7 @@ class McConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-def _deterministic_estimate(params: ModelParams, T: float, target: str) -> tuple[float, float]:
+def _deterministic_estimate(params: ModelParams, T: float) -> dict[str, tuple[float, float]]:
     """Zero-volatility limit: exact mean-path integrals, no sampling."""
 
     def mean_integral(alpha: float, beta: float, x0: float) -> float:
@@ -66,19 +64,15 @@ def _deterministic_estimate(params: ModelParams, T: float, target: str) -> tuple
 
     int_r = mean_integral(params.alpha1, params.beta1, params.r0)
     int_l = mean_integral(params.alpha2, params.beta2, params.lambda0)
-    if target == "q":
-        return math.exp(-int_l), 0.0
     v = math.exp(-(int_r + int_l))
-    if target == "v":
-        return v, 0.0
     lam_T = params.beta2 + (params.lambda0 - params.beta2) * math.exp(-params.alpha2 * T)
-    return v * lam_T, 0.0
+    return {"v": (v, 0.0), "h": (v * lam_T, 0.0), "q": (math.exp(-int_l), 0.0)}
 
 
 def _simulate_block(
-    params: ModelParams, T: float, n_steps: int, m: int, rng, antithetic: bool, target: str
+    params: ModelParams, T: float, n_steps: int, m: int, rng, antithetic: bool
 ) -> np.ndarray:
-    """Per-path (or per-pair-mean) payoffs for one block of m paths."""
+    """Per-path (or per-pair-mean) payoffs of v, h and q for one block, shape (3, m)."""
     dt = T / n_steps
     sq_dt = math.sqrt(dt)
     rho_c = math.sqrt(1.0 - params.rho * params.rho)
@@ -109,31 +103,24 @@ def _simulate_block(
         int_l += 0.5 * dt * (lp + lp_next)
         rp, lp = rp_next, lp_next
 
-    if target == "q":
-        payoff = np.exp(-int_l)
-    elif target == "v":
-        payoff = np.exp(-int_rl)
-    else:
-        payoff = np.exp(-int_rl) * lp
-    return payoff.mean(axis=0)
+    disc = np.exp(-int_rl)
+    return np.stack((disc, disc * lp, np.exp(-int_l))).mean(axis=1)
 
 
 def mc_estimate(
-    params: ModelParams, T: float, target: str, config: McConfig = McConfig()
-) -> tuple[float, float]:
-    """Estimate one target with its standard error.
+    params: ModelParams, T: float, *, config: McConfig = McConfig()
+) -> dict[str, tuple[float, float]]:
+    """Estimate every target with its standard error from one path set.
 
-    The standard error comes from the sample variance of per-path payoffs
-    (per-pair means under antithetic sampling, which never inflates it).
-    Identical ``config.seed`` gives bit-identical results.
+    Returns ``{"v": (mean, std_error), "h": ..., "q": ...}``.  The standard
+    error comes from the sample variance of per-path payoffs (per-pair means
+    under antithetic sampling, which never inflates it).  Identical
+    ``config.seed`` gives bit-identical results.
     """
     if not (T > 0.0 and math.isfinite(T)):
         raise ValueError(f"horizon must be positive, got {T}")
-    key = target.lower()
-    if key not in _TARGETS:
-        raise ValueError(f"unknown target {target!r}; choose from {_TARGETS}")
     if params.sigma1 == 0.0 and params.sigma2 == 0.0:
-        return _deterministic_estimate(params, T, key)
+        return _deterministic_estimate(params, T)
 
     n_units = config.n_paths
     if config.antithetic:
@@ -143,18 +130,20 @@ def mc_estimate(
     children = np.random.SeedSequence(config.seed).spawn(n_blocks)
 
     count = 0
-    acc = 0.0
-    acc_sq = 0.0
+    acc = [0.0, 0.0, 0.0]
+    acc_sq = [0.0, 0.0, 0.0]
     for b in range(n_blocks):
         m = min(_BLOCK, n_units - b * _BLOCK)
         rng = np.random.default_rng(children[b])
-        sample = _simulate_block(params, T, n_steps, m, rng, config.antithetic, key)
+        samples = _simulate_block(params, T, n_steps, m, rng, config.antithetic)
         count += m
-        acc += float(np.sum(sample))
-        acc_sq += float(np.sum(sample * sample))
+        for k, sample in enumerate(samples):
+            acc[k] += float(np.sum(sample))
+            acc_sq[k] += float(np.sum(sample * sample))
 
-    mean = acc / count
-    if count == 1:
-        return mean, float("inf")
-    var = max(acc_sq - count * mean * mean, 0.0) / (count - 1)
-    return mean, math.sqrt(var / count)
+    out = {}
+    for k, target in enumerate(("v", "h", "q")):
+        mean = acc[k] / count
+        var = max(acc_sq[k] - count * mean * mean, 0.0) / (count - 1) if count > 1 else math.inf
+        out[target] = (mean, math.sqrt(var / count))
+    return out

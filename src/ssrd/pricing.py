@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cir import CirParams, cir_bond, cir_bond_dT, feller_margin
+from .cir import CirParams, cir_bond, cir_bond_dT
 from .expansion import ModelParams, expansion_terms
 from .market import PricingConfig, Schedule, build_schedule
 from .timeint import panel_nodes
@@ -60,14 +60,13 @@ class LegValues:
     annuity: float
     spread: float
 
-    @property
-    def spread_bps(self) -> float:
-        return 1e4 * self.spread
-
 
 def _warn_feller(params: ModelParams) -> None:
-    for name, leg in (("rate", params.rate_leg()), ("intensity", params.intensity_leg())):
-        if feller_margin(leg) < 0.0:
+    # 2 alpha beta - sigma^2 needs no state, so a negative r0 is priced too
+    p = params
+    for name, alpha, beta, sigma in (("rate", p.alpha1, p.beta1, p.sigma1),
+                                     ("intensity", p.alpha2, p.beta2, p.sigma2)):
+        if 2.0 * alpha * beta - sigma**2 < 0.0:
             warnings.warn(
                 f"{name} factor violates 2*alpha*beta >= sigma^2; the zero "
                 "boundary is attainable and expansion accuracy may degrade",

@@ -32,7 +32,7 @@ from ssrd.calibrate import (
     run_pipeline,
 )
 from ssrd.cir import cir_bond, cir_bond_dT
-from ssrd.expansion import h_expansion, survival_approx, v_expansion
+from ssrd.expansion import expansion_terms, h_expansion, survival_approx, v_expansion
 from ssrd.market import (
     CdsQuoteSet,
     DiscountCurve,
@@ -114,10 +114,11 @@ def test_acceptance_3_monte_carlo_agreement_correlated():
     for name in SET_NAMES:
         for rho in (-0.5, 0.5):
             model = make_model(name, rho=rho)
-            v_mc, v_se = mc_estimate(model, horizon, "v", config)
-            h_mc, h_se = mc_estimate(model, horizon, "h", config)
-            v2 = v_expansion(model, horizon, order=2)
-            h2 = h_expansion(model, horizon, order=2) * math.exp(-model.alpha2 * horizon)
+            est = mc_estimate(model, horizon, config=config)
+            (v_mc, v_se), (h_mc, h_se) = est["v"], est["h"]
+            terms = expansion_terms(model, horizon, order=2)
+            v2 = float(terms.v()[0])
+            h2 = float(terms.h()[0]) * math.exp(-model.alpha2 * horizon)
             assert abs(v2 - v_mc) <= 3.0 * v_se, f"v, set {name} rho {rho}"
             assert abs(h2 - h_mc) <= 3.0 * h_se, f"h, set {name} rho {rho}"
     assert time.perf_counter() - start < 60.0

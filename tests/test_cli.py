@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +240,36 @@ def test_mc_check_agrees_with_library_formats(market_dir, capsys):
         assert re.search(rf"^\s*1\s+{target}\s+0\.\d{{8}}\s+\S+\s+0\.\d{{8}}\s+[+-]\d+\.\d{{2}}$",
                          stdout, re.M), (target, stdout)
     assert re.search(r"^\s*paths\s+= 4000$", stdout, re.M)
+
+
+def test_mc_check_simulates_once_per_tenor(market_dir, monkeypatch, capsys):
+    # One path set serves v, h and q.  The benchmark's path-step counter
+    # (perfbench/tracer.py, loaded read-only) finds ``config`` by keyword;
+    # passed positionally at index 2 it would silently count the default.
+    import ssrd.cli as cli_mod
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    calls = []
+    real = cli_mod.mc_estimate
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(cli_mod, "mc_estimate", spy)
+    code = run_cli("mc-check", "--params", str(market_dir / "params.txt"),
+                   "--config", str(market_dir / "config.txt"),
+                   "--tenors", "1,3", "--paths", "400", "--step", "0.05")
+    assert code == 0
+    assert len(calls) == 2
+    for (args, kwargs, out), T in zip(calls, (1.0, 3.0)):
+        assert args[1:] == (T,) and set(kwargs) == {"config"}
+        assert tracer._path_steps(args, kwargs, out) == (400 * math.ceil(T / 0.05),)
 
 
 def test_nonconverged_calibration_exits_three(market_dir, capsys, monkeypatch):

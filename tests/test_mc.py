@@ -31,9 +31,7 @@ def test_config_validation():
 def test_estimate_input_validation():
     model = make_model("mid1")
     with pytest.raises(ValueError, match="horizon"):
-        mc_estimate(model, 0.0, "v")
-    with pytest.raises(ValueError, match="unknown target"):
-        mc_estimate(model, 1.0, "survival")
+        mc_estimate(model, 0.0)
 
 
 def test_zero_volatility_is_exact_with_zero_error():
@@ -45,9 +43,8 @@ def test_zero_volatility_is_exact_with_zero_error():
     int_l = b2 * T + (l0 - b2) * (-np.expm1(-a2 * T)) / a2
     lam_T = b2 + (l0 - b2) * np.exp(-a2 * T)
 
-    v, v_se = mc_estimate(model, T, "v")
-    q, q_se = mc_estimate(model, T, "q")
-    h, h_se = mc_estimate(model, T, "h")
+    est = mc_estimate(model, T)
+    (v, v_se), (q, q_se), (h, h_se) = est["v"], est["q"], est["h"]
     assert (v_se, q_se, h_se) == (0.0, 0.0, 0.0)
     assert v == pytest.approx(np.exp(-(int_r + int_l)), rel=1e-14)
     assert q == pytest.approx(np.exp(-int_l), rel=1e-14)
@@ -60,19 +57,20 @@ def test_uncorrelated_estimates_match_closed_forms(set_name):
     p = cir_bond(model.rate_leg(), 0.0, T)
     q_exact = cir_bond(model.intensity_leg(), 0.0, T)
 
-    v_hat, v_se = mc_estimate(model, T, "v", FAST)
+    est = mc_estimate(model, T, config=FAST)
+    v_hat, v_se = est["v"]
     assert v_se > 0.0
     assert abs(v_hat - p * q_exact) < 3.5 * v_se + 2e-4  # + O(dt) bias allowance
 
-    q_hat, q_se = mc_estimate(model, T, "q", FAST)
+    q_hat, q_se = est["q"]
     assert abs(q_hat - q_exact) < 3.5 * q_se + 2e-4
 
 
 def test_same_seed_is_bit_identical_different_seed_is_not():
     model = make_model("mid2")
-    a = mc_estimate(model, 1.5, "v", McConfig(n_paths=20_000, step=0.05, seed=11))
-    b = mc_estimate(model, 1.5, "v", McConfig(n_paths=20_000, step=0.05, seed=11))
-    c = mc_estimate(model, 1.5, "v", McConfig(n_paths=20_000, step=0.05, seed=12))
+    a = mc_estimate(model, 1.5, config=McConfig(n_paths=20_000, step=0.05, seed=11))["v"]
+    b = mc_estimate(model, 1.5, config=McConfig(n_paths=20_000, step=0.05, seed=11))["v"]
+    c = mc_estimate(model, 1.5, config=McConfig(n_paths=20_000, step=0.05, seed=12))["v"]
     assert a == b  # tuple equality: estimate and standard error
     assert a != c
 
@@ -80,8 +78,8 @@ def test_same_seed_is_bit_identical_different_seed_is_not():
 def test_antithetic_pairs_cut_the_standard_error():
     model = make_model("mid2")
     base = dict(n_paths=40_000, step=0.05, seed=3)
-    _, se_plain = mc_estimate(model, 2.0, "v", McConfig(antithetic=False, **base))
-    _, se_anti = mc_estimate(model, 2.0, "v", McConfig(antithetic=True, **base))
+    _, se_plain = mc_estimate(model, 2.0, config=McConfig(antithetic=False, **base))["v"]
+    _, se_anti = mc_estimate(model, 2.0, config=McConfig(antithetic=True, **base))["v"]
     assert se_anti < se_plain  # near-linear payoff: pairing cancels most noise
 
 
@@ -91,14 +89,14 @@ def test_step_halving_moves_estimate_toward_truth():
     model = make_model("fast", rho=0.0)
     T = 2.0
     exact = cir_bond(model.rate_leg(), 0.0, T) * cir_bond(model.intensity_leg(), 0.0, T)
-    coarse, se_c = mc_estimate(model, T, "v", McConfig(n_paths=60_000, step=0.25, seed=5))
-    fine, se_f = mc_estimate(model, T, "v", McConfig(n_paths=60_000, step=0.02, seed=5))
+    coarse, se_c = mc_estimate(model, T, config=McConfig(n_paths=60_000, step=0.25, seed=5))["v"]
+    fine, se_f = mc_estimate(model, T, config=McConfig(n_paths=60_000, step=0.02, seed=5))["v"]
     assert abs(fine - exact) <= abs(coarse - exact) + 2.0 * (se_c + se_f)
 
 
 def test_single_path_reports_infinite_error():
     model = make_model("mid1")
-    est, se = mc_estimate(model, 0.5, "v", McConfig(n_paths=1, step=0.1, seed=2))
+    est, se = mc_estimate(model, 0.5, config=McConfig(n_paths=1, step=0.1, seed=2))["v"]
     assert np.isfinite(est)
     assert se == float("inf")
 
@@ -108,7 +106,7 @@ def test_path_count_spanning_multiple_blocks_reduces_deterministically():
     # so a rerun is bit-identical even across the block boundary.
     model = make_model("slow")
     cfg = McConfig(n_paths=40_000, step=0.1, seed=9)
-    assert mc_estimate(model, 1.0, "h", cfg) == mc_estimate(model, 1.0, "h", cfg)
+    assert mc_estimate(model, 1.0, config=cfg)["h"] == mc_estimate(model, 1.0, config=cfg)["h"]
 
 
 def test_correlation_shifts_v_in_the_expected_direction():
@@ -116,6 +114,6 @@ def test_correlation_shifts_v_in_the_expected_direction():
     # covariance between the discount legs raises the convexity premium).
     T = 3.0
     cfg = McConfig(n_paths=60_000, step=0.05, seed=13)
-    lo, _ = mc_estimate(make_model("mid2", rho=-0.5), T, "v", cfg)
-    hi, _ = mc_estimate(make_model("mid2", rho=0.5), T, "v", cfg)
+    lo, _ = mc_estimate(make_model("mid2", rho=-0.5), T, config=cfg)["v"]
+    hi, _ = mc_estimate(make_model("mid2", rho=0.5), T, config=cfg)["v"]
     assert hi > lo

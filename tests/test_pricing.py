@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from conftest import SET_NAMES, make_model
 from ssrd.market import PricingConfig, build_schedule
-from ssrd.pricing import LegValues, price_cds, spread_curve, spread_ladder, uncorrelated_spread
+from ssrd.pricing import price_cds, spread_curve, spread_ladder, uncorrelated_spread
 
 CFG = PricingConfig(roll="anniversary")
 
@@ -172,11 +172,6 @@ def test_spread_is_exactly_linear_in_loss_given_default():
         assert res.annuity == base.annuity
 
 
-def test_legvalues_bps_quotation():
-    legs = LegValues(protection=0.01, annuity=2.5, spread=0.004)
-    assert legs.spread_bps == 40.0
-
-
 def test_feller_violation_warns_once_per_leg():
     bad = make_model("mid1", sigma2=0.5)  # 2 a2 b2 << sigma2^2
     with pytest.warns(RuntimeWarning, match="intensity factor violates"):
@@ -184,6 +179,22 @@ def test_feller_violation_warns_once_per_leg():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         price_cds(make_model("mid1"), _schedule(1.0), CFG)  # healthy set stays silent
+
+
+def test_negative_short_rate_prices_like_the_ladder():
+    # The Feller margin needs no state, so r0 < 0 (which v_expansion takes)
+    # does not trip the rate leg's non-negative state check.
+    model = make_model("mid1", r0=-0.003, rho=0.0)
+    tenors = [1.0, 3.0, 5.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = spread_curve(model, tenors, CFG)
+    for tenor, spread in curve:
+        sched = _schedule(tenor)
+        assert np.isfinite(spread) and spread > 0.0
+        assert spread == spread_ladder(model, sched, [len(sched.times)], CFG)[0]
+    with pytest.warns(RuntimeWarning, match="rate factor violates"):
+        spread_curve(make_model("mid1", r0=-0.003, rho=0.0, sigma1=0.5), tenors, CFG)
 
 
 def test_ladder_skips_feller_warning_for_optimizer_path():
