@@ -14,7 +14,7 @@ from .calibrate import (
     match_volatility,
     run_pipeline,
 )
-from .cir import CirParams, cir_bond, cir_bond_dT, feller_margin
+from .cir import CirParams, cir_bond, cir_bond_dT
 from .expansion import (
     ExpansionTerms,
     ModelParams,
@@ -66,7 +66,6 @@ __all__ = [
     "cir_bond_dT",
     "compute_weights",
     "expansion_terms",
-    "feller_margin",
     "h_expansion",
     "load_cds_quotes",
     "load_discount_curve",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CirParams", "cir_bond", "cir_bond_dT", "feller_margin"]
+__all__ = ["CirParams", "cir_bond", "cir_bond_dT"]
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,6 @@ class CirParams:
             raise ValueError(f"x0 must be non-negative, got {self.x0}")
         if not np.isfinite([self.alpha, self.beta, self.sigma, self.x0]).all():
             raise ValueError("parameters must be finite")
-
-
-def feller_margin(params: CirParams) -> float:
-    """2 alpha beta - sigma^2; positive iff the factor never touches zero."""
-    return 2.0 * params.alpha * params.beta - params.sigma**2
 
 
 def _affine_coefficients(params: CirParams, tau):

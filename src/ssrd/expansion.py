@@ -4,30 +4,34 @@ correlated square-root diffusions (short rate r, default intensity lam).
 In the rescaled variables x = exp(a1 t) r, y = exp(a2 t) lam the legs become
 shifted martingales, and the two pricing transforms
 
-    v(t, x, y, T) = E[ exp(-int_t^T (r_u + lam_u) du) ]
-    h(t, x, y, T) = exp(a2 T) E[ exp(-int_t^T (r_u + lam_u) du) lam_T ]
+    v(x, y, T) = E[ exp(-int_0^T (r_u + lam_u) du) ]
+    h(x, y, T) = exp(a2 T) E[ exp(-int_0^T (r_u + lam_u) du) lam_T ]
 
 are expanded by Taylor-expanding the PDE coefficients around the mean path
-of (x, y).  Order zero freezes everything on the mean path and gives the
-deterministic-limit transform v0 (exponential-affine in the state).  The
-corrections are time-ordered iterated integrals of the first-order coefficient
-operator; evaluating them at the expansion anchor collapses each one to a
-scalar quadrature of the proxy covariances against accumulated discount
-loadings:
+of (x, y) from the time-zero state.  Order zero freezes everything on the
+mean path and gives the deterministic-limit transform v0 (exponential-affine
+in the state).  The corrections are time-ordered iterated integrals of the
+first-order coefficient operator; evaluating them at the expansion anchor
+collapses each one to a scalar integral of the proxy covariances against
+accumulated discount loadings:
 
     v1 = 0                       (the first-order operator is odd in the
                                   centered state, and the payoff 1 leaves
                                   nothing for it to hit)
-    h1 = -int_t^T [e^{-a1 s} C12(t,s) + e^{-a2 s} C22(t,s)] ds * v0
+    h1 = -int_0^T [e^{-a1 s} C12(s) + e^{-a2 s} C22(s)] ds * v0
                                  (covariance of the accumulated discount
                                   with the terminal intensity)
-    v2 = int_t^T { e^{-a1 s} [C11 psi(-a1,s,T) + C12 psi(-a2,s,T)]
-                 + e^{-a2 s} [C12 psi(-a1,s,T) + C22 psi(-a2,s,T)] }(t,s) ds * v0
+    v2 = int_0^T { e^{-a1 s} [C11 psi(-a1,s,T) + C12 psi(-a2,s,T)]
+                 + e^{-a2 s} [C12 psi(-a1,s,T) + C22 psi(-a2,s,T)] }(s) ds * v0
                                  (variance of the accumulated discount; the
                                   remaining-window factors psi(-a, s, T)
                                   weight each covariance increment by the
                                   discount exposure it still faces)
-    h2 = (y + a2 b2 psi(a2,t,T)) * v2
+    h2 = (y + a2 b2 psi(a2,0,T)) * v2
+
+Every integral here and in the one-leg coefficients starts at time 0 and is
+a running integral, up to each maturity or grid node, on one Gauss-Legendre
+grid over [0, sorted maturities]; no quadrature is nested in another.
 
 These match the exact transforms through O(sigma^2) and O(rho sigma^2)
 inclusive: the zero-correlation limit reproduces the per-leg bond convexity
@@ -46,10 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cir import CirParams
-from .timeint import gauss_legendre, psi, theta
+from .timeint import _RunningGrid, psi, theta
 
 __all__ = [
-    "AnchorDomainError",
     "ModelParams",
     "ExpansionTerms",
     "expansion_terms",
@@ -66,14 +69,8 @@ __all__ = [
 # never distorted.
 ANCHOR_FLOOR = 1e-10
 
-_QUAD_BLOCK = 1 << 16
-
 # Gauss-Legendre nodes for each integral in the one-leg sigma^2 coefficients.
 _BOND_NODES = 32
-
-
-class AnchorDomainError(ValueError):
-    """A mean-path anchor is non-positive where a fractional power is needed."""
 
 
 # --------------------------------------------------------------------------
@@ -148,22 +145,18 @@ class ModelParams:
 # --------------------------------------------------------------------------
 
 class _ProxyMoments:
-    """Mean-path anchors and proxy (co)variances, anchored at a fixed t0.
+    """Mean-path anchors and proxy (co)variances from the time-zero state.
 
     All second moments are exact for the per-leg rescaled processes; the
     cross term c12 freezes sqrt(xbar ybar) along the mean path and is the
-    only quantity needing quadrature of its own.
+    only one that needs the quadrature grid.
     """
 
-    def __init__(self, params: ModelParams, t0: float, x: float, y: float, n_nodes: int):
+    def __init__(self, params: ModelParams):
         self.p = params
-        self.t0 = float(t0)
-        self.x = float(x)
-        self.y = float(y)
-        self.n_nodes = int(n_nodes)
-        self.x_frac = max(self.x, ANCHOR_FLOOR)
-        self.y_frac = max(self.y, ANCHOR_FLOOR)
-        if params.rho_hat != 0.0 and (self.x < ANCHOR_FLOOR or self.y < ANCHOR_FLOOR):
+        self.x_frac = max(params.r0, ANCHOR_FLOOR)
+        self.y_frac = max(params.lambda0, ANCHOR_FLOOR)
+        if params.rho_hat != 0.0 and (params.r0 < ANCHOR_FLOOR or params.lambda0 < ANCHOR_FLOOR):
             warnings.warn(
                 "state anchor below %.0e with non-zero correlation; fractional "
                 "powers of the mean path are floored" % ANCHOR_FLOOR,
@@ -171,51 +164,32 @@ class _ProxyMoments:
                 stacklevel=3,
             )
 
-    # mean path of the rescaled state, exact
-    def _frac_anchor(self, s, base, alpha, beta, label):
-        vals = np.asarray(base + alpha * beta * psi(alpha, self.t0, s), dtype=float)
-        if np.any(vals <= 0.0):
-            s_arr = np.broadcast_to(np.asarray(s, dtype=float), vals.shape)
-            bad = float(np.min(s_arr[vals <= 0.0]))
-            raise AnchorDomainError(
-                f"{label} mean-path anchor non-positive at s={bad:.6g}; "
-                "fractional moment powers are undefined there"
-            )
-        return vals
-
+    # floored mean path of the rescaled state; positive for every s >= 0
     def xbar_frac(self, s):
-        return self._frac_anchor(s, self.x_frac, self.p.alpha1, self.p.beta1, "rate")
+        return self.x_frac + self.p.alpha1 * self.p.beta1 * psi(self.p.alpha1, 0.0, s)
 
     def ybar_frac(self, s):
-        return self._frac_anchor(s, self.y_frac, self.p.alpha2, self.p.beta2, "intensity")
+        return self.y_frac + self.p.alpha2 * self.p.beta2 * psi(self.p.alpha2, 0.0, s)
 
     # proxy variances, closed form
     def c11(self, s):
         p = self.p
         sig = p.sigma1_active
-        return sig * sig * (self.x * psi(p.alpha1, self.t0, s)
-                            + p.alpha1 * p.beta1 * theta(p.alpha1, p.alpha1, self.t0, s))
+        return sig * sig * (p.r0 * psi(p.alpha1, 0.0, s)
+                            + p.alpha1 * p.beta1 * theta(p.alpha1, p.alpha1, 0.0, s))
 
     def c22(self, s):
         p = self.p
-        return p.sigma2 * p.sigma2 * (self.y * psi(p.alpha2, self.t0, s)
-                                      + p.alpha2 * p.beta2 * theta(p.alpha2, p.alpha2, self.t0, s))
+        return p.sigma2 * p.sigma2 * (p.lambda0 * psi(p.alpha2, 0.0, s)
+                                      + p.alpha2 * p.beta2 * theta(p.alpha2, p.alpha2, 0.0, s))
 
-    def c12(self, s):
-        """Proxy cross-covariance rho_hat * int_t0^s exp(abar u) sqrt(xbar ybar) du."""
-        s = np.asarray(s, dtype=float)
+    def c12(self, grid: _RunningGrid):
+        """Proxy cross-covariance rho_hat int_0^u e^{abar v} sqrt(xbar ybar) dv at grid nodes u."""
+        u = grid.nodes
         if self.p.rho_hat == 0.0:
-            return np.zeros(s.shape)
-        flat = s.reshape(-1)
-        out = np.empty(flat.shape)
-        block = max(1, _QUAD_BLOCK // self.n_nodes)
-        for lo in range(0, flat.size, block):
-            sb = flat[lo:lo + block]
-            u, w = gauss_legendre(self.t0, sb, self.n_nodes)
-            integrand = np.exp(self.p.alpha_bar * u) * np.sqrt(
-                self.xbar_frac(u) * self.ybar_frac(u))
-            out[lo:lo + block] = self.p.rho_hat * np.sum(w * integrand, axis=-1)
-        return out.reshape(s.shape)
+            return np.zeros(u.shape)
+        integrand = np.exp(self.p.alpha_bar * u) * np.sqrt(self.xbar_frac(u) * self.ybar_frac(u))
+        return self.p.rho_hat * grid.at_nodes(integrand)
 
 
 # --------------------------------------------------------------------------
@@ -234,62 +208,50 @@ class ExpansionTerms:
     v_terms: np.ndarray
     h_terms: np.ndarray
 
-    @property
-    def order(self) -> int:
-        return self.v_terms.shape[0] - 1
-
     def v(self, order: int | None = None) -> np.ndarray:
-        n = self.order if order is None else order
-        return self.v_terms[: n + 1].sum(axis=0)
+        return self.v_terms[: None if order is None else order + 1].sum(axis=0)
 
     def h(self, order: int | None = None) -> np.ndarray:
-        n = self.order if order is None else order
-        return self.h_terms[: n + 1].sum(axis=0)
+        return self.h_terms[: None if order is None else order + 1].sum(axis=0)
 
 
-def _correction_integrals(mom: _ProxyMoments, T: np.ndarray, n_nodes: int, order: int):
-    """Scalar correction integrals over [t0, T] (T may be any array shape).
+def _correction_integrals(mom: _ProxyMoments, grid: _RunningGrid, order: int):
+    """Scalar correction integrals over [0, T] at every point T of the grid.
 
     Returns (i_h1, i_v2):
 
-        i_h1 = -int [e^{-a1 s} c12(t0,s) + e^{-a2 s} c22(t0,s)] ds
+        i_h1 = -int [e^{-a1 s} c12(s) + e^{-a2 s} c22(s)] ds
         i_v2 =  int { e^{-a1 s} [c11 J1 + c12 J2] + e^{-a2 s} [c12 J1 + c22 J2] } ds
 
     with J_i(s) = psi(-a_i, s, T) the discount loading still ahead of s.  The
     second one is the variance of the accumulated discount under the proxy,
     each covariance increment weighted by its remaining exposure window.
+    Both start at time 0 and are running integrals on the one grid.
     """
     p = mom.p
-    s, w = gauss_legendre(mom.t0, T, n_nodes)
+    s = grid.nodes
     em1 = np.exp(-p.alpha1 * s)
     em2 = np.exp(-p.alpha2 * s)
-    c22 = mom.c22(s)
-    c12 = mom.c12(s)
-    i_h1 = -np.sum(w * (em1 * c12 + em2 * c22), axis=-1)
+    c12 = mom.c12(grid)
+    load2 = em1 * c12 + em2 * mom.c22(s)  # the weight of J2 is also i_h1's integrand
     if order < 2:
-        return i_h1, None
-    c11 = mom.c11(s)
-    t_hi = T[..., None]
-    j1 = psi(-p.alpha1, s, t_hi)
-    j2 = psi(-p.alpha2, s, t_hi)
-    integrand = em1 * (c11 * j1 + c12 * j2) + em2 * (c12 * j1 + c22 * j2)
-    i_v2 = np.sum(w * integrand, axis=-1)
-    return i_h1, i_v2
+        return -grid.at_points(load2), None
+    load1 = em1 * mom.c11(s) + em2 * c12
+    return (-grid.at_points(load2),
+            grid.at_points_ahead(load1, p.alpha1) + grid.at_points_ahead(load2, p.alpha2))
 
 
-def _terms_engine(params: ModelParams, T: np.ndarray, order: int, n_nodes: int,
-                  t0: float, x: float, y: float):
-    p = params
-    psi1 = np.asarray(psi(-p.alpha1, t0, T), dtype=float)
-    psi2 = np.asarray(psi(-p.alpha2, t0, T), dtype=float)
-    v0 = np.exp(-x * psi1 - p.alpha1 * p.beta1 * np.asarray(theta(-p.alpha1, p.alpha1, t0, T))
-                - y * psi2 - p.alpha2 * p.beta2 * np.asarray(theta(-p.alpha2, p.alpha2, t0, T)))
-    mean_y = y + p.alpha2 * p.beta2 * np.asarray(psi(p.alpha2, t0, T))
+def _terms_engine(p: ModelParams, T: np.ndarray, order: int, n_nodes: int):
+    psi1 = np.asarray(psi(-p.alpha1, 0.0, T), dtype=float)
+    psi2 = np.asarray(psi(-p.alpha2, 0.0, T), dtype=float)
+    v0 = np.exp(-p.r0 * psi1 - p.alpha1 * p.beta1 * np.asarray(theta(-p.alpha1, p.alpha1, 0.0, T))
+                - p.lambda0 * psi2 - p.alpha2 * p.beta2 * np.asarray(theta(-p.alpha2, p.alpha2, 0.0, T)))
+    mean_y = p.lambda0 + p.alpha2 * p.beta2 * np.asarray(psi(p.alpha2, 0.0, T))
     v_list = [v0]
     h_list = [v0 * mean_y]
     if order >= 1:
-        mom = _ProxyMoments(p, t0, x, y, n_nodes)
-        i_h1, i_v2 = _correction_integrals(mom, T, n_nodes, order)
+        grid = _RunningGrid(T, n_nodes, p.alpha1 + p.alpha2)
+        i_h1, i_v2 = _correction_integrals(_ProxyMoments(p), grid, order)
         # The payoff-1 transform has no first-order term: the correction
         # operator is linear in the centered state, whose proxy mean is zero
         # at the anchor.  The terminal-intensity payoff leaves the
@@ -303,46 +265,39 @@ def _terms_engine(params: ModelParams, T: np.ndarray, order: int, n_nodes: int,
     return np.stack(v_list), np.stack(h_list)
 
 
-def expansion_terms(params: ModelParams, maturities, *, order: int = 2,
-                    quad_nodes: int = 32, t: float = 0.0,
-                    state: tuple[float, float] | None = None) -> ExpansionTerms:
-    """Order-by-order expansion of v and h on a maturity grid.
+def _maturities(maturities) -> np.ndarray:
+    T = np.atleast_1d(np.asarray(maturities, dtype=float))
+    if not np.all(np.isfinite(T) & (T >= -1e-12)):
+        raise ValueError("maturities must be finite and non-negative")
+    return np.maximum(T, 0.0)
 
-    ``state`` is the (rate, intensity) level at time ``t``; by default the
-    time-zero model state.  Maturities may be any array shape; terms come
-    back as (order+1,) + shape.
+
+def expansion_terms(params: ModelParams, maturities, *, order: int = 2,
+                    quad_nodes: int = 32) -> ExpansionTerms:
+    """Order-by-order expansion of v and h from the time-zero model state.
+
+    Maturities may be any array shape; terms come back as (order+1,) + shape.
+    ``quad_nodes`` Gauss-Legendre nodes cover each gap between sorted
+    maturities.
     """
     if order not in (0, 1, 2):
         raise ValueError("expansion order must be 0, 1 or 2")
     if quad_nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
-    T = np.atleast_1d(np.asarray(maturities, dtype=float))
-    if np.any(T < t - 1e-12):
-        raise ValueError("maturities must not precede the evaluation time")
-    r_t, lam_t = state if state is not None else (params.r0, params.lambda0)
-    x = math.exp(params.alpha1 * t) * float(r_t)
-    y = math.exp(params.alpha2 * t) * float(lam_t)
-    v_terms, h_terms = _terms_engine(params, T, order, quad_nodes, t, x, y)
+    T = _maturities(maturities)
+    v_terms, h_terms = _terms_engine(params, T, order, quad_nodes)
     return ExpansionTerms(maturities=T, v_terms=v_terms, h_terms=h_terms)
 
 
-def v_expansion(params: ModelParams, maturities, *, order: int = 2,
-                quad_nodes: int = 32, t: float = 0.0,
-                state: tuple[float, float] | None = None):
+def v_expansion(params: ModelParams, maturities, *, order: int = 2, quad_nodes: int = 32):
     """Order-N approximation of E[exp(-int (r+lam))] at the given maturities."""
-    res = expansion_terms(params, maturities, order=order, quad_nodes=quad_nodes,
-                          t=t, state=state)
-    out = res.v()
+    out = expansion_terms(params, maturities, order=order, quad_nodes=quad_nodes).v()
     return float(out[0]) if np.isscalar(maturities) or np.ndim(maturities) == 0 else out
 
 
-def h_expansion(params: ModelParams, maturities, *, order: int = 2,
-                quad_nodes: int = 32, t: float = 0.0,
-                state: tuple[float, float] | None = None):
+def h_expansion(params: ModelParams, maturities, *, order: int = 2, quad_nodes: int = 32):
     """Order-N approximation of exp(a2 T) E[exp(-int (r+lam)) lam_T]."""
-    res = expansion_terms(params, maturities, order=order, quad_nodes=quad_nodes,
-                          t=t, state=state)
-    out = res.h()
+    out = expansion_terms(params, maturities, order=order, quad_nodes=quad_nodes).h()
     return float(out[0]) if np.isscalar(maturities) or np.ndim(maturities) == 0 else out
 
 
@@ -370,36 +325,28 @@ def proxy_bond_expansion(alpha: float, beta: float, state: float, maturities):
     sigma^2 around zero, so it agrees with the transform expansion above
     through O(sigma^2) and sharpens the sigma^4 term.
     """
-    T = np.asarray(maturities, dtype=float)
-    tau = np.atleast_1d(T)
-    if np.any(tau < -1e-12):
-        raise ValueError("maturities must be non-negative")
-    tau = np.maximum(tau, 0.0)
+    tau = _maturities(maturities)
     y = float(state)
     alpha = float(alpha)
     beta = float(beta)
-    n = _BOND_NODES
-
-    def b1(w):
-        # w: any array; inner nodes add one trailing axis
-        u, wu = gauss_legendre(0.0, w, n)
-        vals = np.exp(-alpha * (w[..., None] - u)) * np.asarray(psi(-alpha, 0.0, u)) ** 2
-        return -0.5 * np.sum(wu * vals, axis=-1)
-
-    def b2(w):
-        u, wu = gauss_legendre(0.0, w, n)
-        vals = (np.exp(-alpha * (w[..., None] - u))
-                * np.asarray(psi(-alpha, 0.0, u)) * b1(u))
-        return -np.sum(wu * vals, axis=-1)
+    # B1 and B2 are e^{-alpha w} times running integrals of e^{alpha u}-weighted
+    # integrands, taken at the grid nodes (for the next order) and at the
+    # maturities; L1 and L2 integrate them once more up to the maturities.
+    grid = _RunningGrid(tau, _BOND_NODES, alpha)
+    grow = np.exp(alpha * grid.nodes)
+    b0 = np.asarray(psi(-alpha, 0.0, grid.nodes))
+    f1 = grow * b0 * b0
+    b1 = -0.5 * grid.at_nodes(f1) / grow
+    f2 = grow * b0 * b1
+    b2 = -grid.at_nodes(f2) / grow
+    s1, s2, int_b1, int_b2 = grid.at_points(np.stack((f1, f2, b1, b2)))
+    decay = np.exp(-alpha * tau)
 
     p0 = np.exp(-y * np.asarray(psi(-alpha, 0.0, tau))
                 - alpha * beta * np.asarray(theta(-alpha, alpha, 0.0, tau)))
-    w_out, ww_out = gauss_legendre(0.0, tau, n)
-    l1 = -y * b1(tau) - alpha * beta * np.sum(ww_out * b1(w_out), axis=-1)
-    l2 = -y * b2(tau) - alpha * beta * np.sum(ww_out * b2(w_out), axis=-1)
-    lin = l1
-    quad = l2 + 0.5 * l1 * l1
-    if np.ndim(T) == 0:
+    lin = 0.5 * y * decay * s1 - alpha * beta * int_b1
+    quad = y * decay * s2 - alpha * beta * int_b2 + 0.5 * lin * lin
+    if np.ndim(maturities) == 0:
         return float(p0[0]), float(lin[0]), float(quad[0])
     return p0, lin, quad
 

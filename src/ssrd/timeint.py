@@ -117,8 +117,7 @@ def theta(alpha, beta, t, t2):
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
 
 
 def gauss_legendre(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -131,11 +130,84 @@ def gauss_legendre(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = _leggauss(n)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    nodes = mid[..., None] + half[..., None] * x
+    # offsets from a, so nodes near a keep their relative accuracy
+    nodes = a[..., None] + half[..., None] * (x + 1.0)
     weights = half[..., None] * w
     return nodes, weights
+
+
+@lru_cache(maxsize=32)
+def _running_matrix(n: int) -> np.ndarray:
+    """S[j, l] = int_{-1}^{x_j} ell_l for the Lagrange basis on the n Legendre
+    nodes x: S @ f(x) integrates f's interpolant up to each node (spectral
+    integration, Greengard 1991, SIAM J. Numer. Anal. 28(4)).  Each ell_l is
+    evaluated in barycentric form on an n-node rule over [-1, x_j].
+    """
+    x, w = _leggauss(n)
+    diff = x[:, None] - x
+    np.fill_diagonal(diff, 1.0)
+    bary = 1.0 / diff.prod(axis=1)
+    rows = []
+    for xj in x:
+        half = 0.5 * (xj + 1.0)
+        sub = (x + 1.0) * half - 1.0
+        terms = bary / (sub[:, None] - x)
+        rows.append((w * half) @ (terms / terms.sum(axis=1, keepdims=True)))
+    return np.array(rows)
+
+
+class _RunningGrid:
+    """Gauss-Legendre nodes (shape (gaps, n)) on every gap of [0, sorted points].
+
+    Integrands, given at the nodes with any leading axes, are integrated from
+    0 up to every point or up to every node; a value never depends on larger
+    points.  Gaps longer than 1/rate, ``rate`` being the integrands' fastest
+    exponential growth, are cut into equal pieces so the running matrix never
+    mixes values more than a factor e apart (unless e^{rate u} overflows).
+    """
+
+    def __init__(self, points, n: int, rate: float):
+        breaks = np.unique(np.append(0.0, points))
+        gaps = np.diff(breaks)
+        pieces = np.where(rate * breaks[1:] < 709.0, np.ceil(rate * gaps), 1.0).clip(1).astype(int)
+        gap = np.repeat(np.arange(gaps.size), pieces)
+        step = np.arange(gap.size) - np.searchsorted(gap, gap)
+        breaks = np.append(breaks[gap] + gaps[gap] * step / pieces[gap], breaks[-1])
+        self.breaks = breaks
+        self.index = np.searchsorted(breaks, points)
+        self.nodes, self.weights = gauss_legendre(breaks[:-1], breaks[1:], n)
+        self.matrix = _running_matrix(n)
+
+    @staticmethod
+    def _running(steps):
+        # value at every break: 0, then the per-gap steps summed in order
+        return np.concatenate((np.zeros(steps.shape[:-1] + (1,)),
+                               np.cumsum(steps, axis=-1)), axis=-1)
+
+    def _before(self, f):
+        return self._running(np.sum(self.weights * f, axis=-1))
+
+    def at_points(self, f):
+        """int_0^T f for every point T, in the points' shape."""
+        return self._before(f)[..., self.index]
+
+    def at_points_ahead(self, f, a):
+        """int_0^T f(s) psi(-a, s, T) ds for every point T, in the points' shape.
+
+        Summed gap by gap through psi(-a, s, T2) = psi(-a, s, T1) + psi(-a, T1, T2),
+        so every term is non-negative for f >= 0 and nothing cancels.
+        """
+        lo, hi = self.breaks[:-1], self.breaks[1:]
+        inside = np.sum(self.weights * f * psi(-a, self.nodes, hi[:, None]), axis=-1)
+        return self._running(psi(-a, lo, hi) * self._before(f)[..., :-1] + inside)[..., self.index]
+
+    def at_nodes(self, f):
+        """int_0^u f for every node u; result shape f.shape."""
+        # elementwise product and sum, not matmul, so a row's value cannot
+        # depend on how many rows there are
+        inside = np.sum(f[..., None, :] * self.matrix, axis=-1)
+        return self._before(f)[..., :-1, None] + 0.5 * np.diff(self.breaks)[:, None] * inside
 
 
 def panel_nodes(breaks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,9 +13,11 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ssrd
+from conftest import MARKET_STRIP_TENORS, intensity_leg_params, make_model
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -29,11 +31,15 @@ def _resolve(dotted: str):
     return obj
 
 
-def _traced():
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("_bench_tracer", BENCH / "tracer.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [f"{mod}.{attr}" for mod, attr, _, _ in module.TRACED]
+    return module
+
+
+def _traced():
+    return [f"{mod}.{attr}" for mod, attr, _, _ in _tracer_module().TRACED]
 
 
 def _workload_calls():
@@ -53,3 +59,21 @@ def test_traced_name_resolves(dotted):
 @pytest.mark.parametrize("dotted", _workload_calls())
 def test_workload_call_resolves(dotted):
     assert callable(_resolve(dotted))
+
+
+def test_expansion_integrals_share_one_grid():
+    # A correlated order-2 ladder on the 11-quote strip at 32 nodes plus a
+    # 24-point survival curve: one Gauss-Legendre grid per call keeps the
+    # traced node count near the number of evaluation points times 32
+    # (nested rules made it about 1.28M).
+    config = ssrd.PricingConfig(roll="anniversary", order=2, quad_nodes=32)
+    schedule = ssrd.build_schedule(None, max(MARKET_STRIP_TENORS), config)
+    ends = [len(ssrd.build_schedule(None, t, config).times) for t in MARKET_STRIP_TENORS]
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        ssrd.pricing.spread_ladder(make_model("mid2", rho=0.5), schedule, ends, config)
+        ssrd.survival_approx(intensity_leg_params("mid2"), 0.25 * np.arange(1, 25))
+    finally:
+        tracer.uninstall()
+    assert 0 < tracer.counts["timeint.gauss_legendre.elems"] <= 20_000

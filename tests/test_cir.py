@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from conftest import INTENSITY_SETS, RATE_FIXTURE, intensity_leg_params, rate_leg_params
-from ssrd.cir import CirParams, cir_bond, cir_bond_dT, feller_margin
+from ssrd.cir import CirParams, cir_bond, cir_bond_dT
 
 
 def _riccati_oracle(params: CirParams, tau: float) -> tuple[float, float]:
@@ -111,11 +111,10 @@ def test_params_validation():
         CirParams(0.2, np.inf, 0.05, 0.02)
 
 
-def test_feller_margin_sign():
+def test_fixture_intensity_sets_satisfy_feller():
     for name in INTENSITY_SETS:
-        assert feller_margin(intensity_leg_params(name)) > 0  # 2ab > s^2 holds for all sets
-    assert feller_margin(CirParams(0.5, 0.04, 0.3, 0.02)) < 0
-    assert feller_margin(CirParams(0.5, 0.04, 0.2, 0.02)) == pytest.approx(0.0)
+        leg = intensity_leg_params(name)
+        assert 2.0 * leg.alpha * leg.beta > leg.sigma**2, name
 
 
 @given(

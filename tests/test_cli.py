@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ssrd.cli
 from conftest import RATE_FIXTURE, make_model
 from ssrd.calibrate import bootstrap_survival
 from ssrd.cir import CirParams, cir_bond
@@ -20,6 +22,7 @@ from ssrd.cli import main
 from ssrd.expansion import survival_approx
 from ssrd.market import CdsQuoteSet, PricingConfig, build_schedule
 from ssrd.pricing import spread_curve, spread_ladder
+from ssrd.report import fmt_bps
 from ssrd.simplex import CalibrationResult
 
 RATE = CirParams(RATE_FIXTURE["alpha1"], RATE_FIXTURE["beta1"],
@@ -340,12 +343,21 @@ def test_values_the_commands_cannot_take_exit_two(market_dir, tmp_path, capsys):
     assert code == 2
     assert "tenors must be positive" in capsys.readouterr().err
 
+
+def test_price_takes_a_negative_short_rate_like_the_library(market_dir, tmp_path, capsys):
     p = tmp_path / "p.txt"
     p.write_text((market_dir / "params.txt").read_text().replace(f"r0={RATE.x0}", "r0=-0.003"))
-    code = run_cli("price", "--params", str(p), "--config", str(market_dir / "config.txt"),
-                   "--tenors", "1.0")
-    assert code == 2
-    assert "price needs a non-negative short rate, got r0=-0.003" in capsys.readouterr().err
+    out = tmp_path / "reports"
+    with pytest.warns(RuntimeWarning, match="state anchor below"):
+        code = run_cli("price", "--params", str(p), "--config", str(market_dir / "config.txt"),
+                       "--tenors", "1,3", "--out", str(out))
+    assert code == 0
+
+    params = make_model("mid2", rho=0.05469, r0=-0.003)
+    with pytest.warns(RuntimeWarning, match="state anchor below"):
+        curve = spread_curve(params, (1.0, 3.0), PricingConfig(roll="anniversary"))
+    got = [line.split(",")[1] for line in (out / "price.csv").read_text().splitlines()[1:]]
+    assert got == [fmt_bps(s) for _, s in curve]
 
 
 def test_bad_simulation_controls_exit_two(market_dir, capsys):
@@ -389,8 +401,12 @@ def test_invalid_parameter_values_exit_two(market_dir, tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
+    # the child imports the same ssrd as this process, installed or not
+    src = str(Path(ssrd.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-m", "ssrd", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "ssrd", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     for cmd in ("calibrate-rates", "match-vol", "calibrate-cds", "price",

@@ -25,7 +25,6 @@ from conftest import INTENSITY_SETS, SET_NAMES, intensity_leg_params, make_model
 from ssrd.cir import CirParams, cir_bond, cir_bond_dT
 from ssrd.expansion import (
     ANCHOR_FLOOR,
-    AnchorDomainError,
     ModelParams,
     _ProxyMoments,
     expansion_terms,
@@ -34,7 +33,7 @@ from ssrd.expansion import (
     survival_approx,
     v_expansion,
 )
-from ssrd.timeint import gauss_legendre, psi
+from ssrd.timeint import _RunningGrid, psi
 
 MATURITIES = np.array([0.5, 1.0, 2.0, 3.0, 5.0])
 
@@ -115,7 +114,7 @@ def test_expansion_input_validation():
     with pytest.raises(ValueError):
         expansion_terms(model, 1.0, quad_nodes=1)
     with pytest.raises(ValueError):
-        expansion_terms(model, 0.5, t=1.0)
+        expansion_terms(model, [1.0, -0.5])
     terms = expansion_terms(model, [[1.0, 2.0], [3.0, 4.0]], order=2)
     assert terms.v_terms.shape == (3, 2, 2)
 
@@ -126,17 +125,6 @@ def test_scalar_maturity_returns_float():
     assert isinstance(h_expansion(model, 1.0), float)
     vec = v_expansion(model, [1.0])
     assert vec.shape == (1,)
-
-
-def test_conditioning_on_later_state():
-    # Anchoring at (t, state) must reproduce the t = T boundary values in the
-    # rescaled convention: v = 1 and h = exp(alpha2 t) * lambda_t.
-    model = make_model("slow")
-    t, lam_t = 1.5, 0.019
-    v = v_expansion(model, t, t=t, state=(0.03, lam_t))
-    h = h_expansion(model, t, t=t, state=(0.03, lam_t))
-    assert v == 1.0
-    assert h == pytest.approx(math.exp(model.alpha2 * t) * lam_t, rel=1e-14)
 
 
 # --------------------------------------------------------------------------
@@ -209,6 +197,15 @@ def test_quadrature_node_doubling_is_converged(set_name):
     assert np.max(np.abs(h64 - h32) / np.abs(h64)) < 1e-9
 
 
+def test_fast_mean_reversion_keeps_the_variance_term(set_name):
+    # With a2 T = 50 the discount loadings ahead of s span e^{-50}; the
+    # order-2 term must stay positive and settled under node refinement.
+    model = make_model(set_name, alpha2=5.0, rho=0.5)
+    v2 = [expansion_terms(model, 10.0, order=2, quad_nodes=n).v_terms[2, 0] for n in (16, 64)]
+    assert v2[0] > 0.0
+    assert v2[0] == pytest.approx(v2[1], rel=1e-12)
+
+
 # --------------------------------------------------------------------------
 # One-leg sigma^2 Taylor expansion
 # --------------------------------------------------------------------------
@@ -232,6 +229,20 @@ def test_proxy_bond_coefficients_match_exact_transform_scaling():
     assert all(e / s**6 < 2.5 for e, s in zip(errs, sigmas))
 
 
+@pytest.mark.parametrize("alpha", [0.2, 2.5])
+def test_proxy_bond_linear_coefficient_matches_adaptive_quadrature(alpha):
+    # lin = -x0 B1(T) - alpha beta int_0^T B1 with B1 from its definition.
+    beta, x0, T = 0.03, 0.02, 30.0
+
+    def b1(w):
+        def integrand(u):
+            return np.exp(-alpha * (w - u)) * (-np.expm1(-alpha * u) / alpha) ** 2
+        return -0.5 * quad(integrand, 0.0, w, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    oracle = -x0 * b1(T) - alpha * beta * quad(b1, 0.0, T, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    assert proxy_bond_expansion(alpha, beta, x0, T)[1] == pytest.approx(oracle, rel=1e-11)
+
+
 def test_proxy_bond_zero_vol_base_is_deterministic_bond():
     alpha, beta, x0 = 0.04117, 0.18416, 0.01103
     T = np.array([1.0, 4.0])
@@ -249,6 +260,16 @@ def test_survival_orders_bracket_exact_transform(set_name):
     assert err[1] < 5e-3
 
 
+def test_survival_prefix_is_bitwise_identical(set_name):
+    # The grid sorts the maturities, so a prefix sees exactly the gaps and
+    # nodes it would see on its own.
+    leg = intensity_leg_params(set_name)
+    T = 0.25 * np.arange(1, 25)
+    full = survival_approx(leg, T, order=2)
+    for k in (1, 5, 24):
+        assert np.array_equal(full[:k], survival_approx(leg, T[:k], order=2))
+
+
 def test_survival_zero_vol_is_exact():
     leg = CirParams(0.04, 0.18, 0.0, 0.011)
     T = np.array([1.0, 6.0])
@@ -264,16 +285,18 @@ def test_survival_zero_vol_is_exact():
 # --------------------------------------------------------------------------
 
 
-def _moments(model, t0=0.0, nodes=32):
-    x = math.exp(model.alpha1 * t0) * model.r0
-    y = math.exp(model.alpha2 * t0) * model.lambda0
-    return _ProxyMoments(model, t0, x, y, nodes)
+def _grid(model, points, nodes=32):
+    return _RunningGrid(points, nodes, model.alpha1 + model.alpha2)
 
 
 def test_kernel_empty_interval_is_zero():
     model = make_model("mid2")
-    assert _moments(model).c12(0.0) == 0.0
-    assert _moments(model, t0=0.5).c12(0.5) == 0.0
+    mom = _ProxyMoments(model)
+    assert mom.c12(_grid(model, 0.0)).size == 0  # no gap, no node
+    grid = _grid(model, [0.0, 1.0])
+    g = np.exp(model.alpha_bar * grid.nodes) * np.sqrt(
+        mom.xbar_frac(grid.nodes) * mom.ybar_frac(grid.nodes))
+    assert grid.at_points(g)[0] == 0.0
 
 
 def test_kernel_mean_path_weight_matches_adaptive_quadrature():
@@ -288,9 +311,10 @@ def test_kernel_mean_path_weight_matches_adaptive_quadrature():
 
     oracle, _ = quad(lambda u: np.exp(0.1 * u) * xbar(u) * np.sqrt(ybar(u)), 0.0, 3.0,
                      epsabs=1e-15, epsrel=1e-13)
-    mom = _moments(model)
-    u, w = gauss_legendre(0.0, 3.0, 32)
-    got = np.sum(w * np.exp(0.1 * u) * mom.xbar_frac(u) * mom.ybar_frac(u) ** 0.5)
+    mom = _ProxyMoments(model)
+    grid = _grid(model, 3.0)
+    u = grid.nodes
+    got = grid.at_points(np.exp(0.1 * u) * mom.xbar_frac(u) * mom.ybar_frac(u) ** 0.5)
     assert got == pytest.approx(oracle, rel=1e-10)
 
 
@@ -306,26 +330,18 @@ def test_kernel_cross_covariance_family_matches_dense_trapezoid():
     root = np.sqrt(xbar * ybar)
     c12 = model.rho_hat * cumulative_trapezoid(growth * root, u, initial=0.0)
     oracle = np.trapezoid(growth * root * c12, u)
-    mom = _moments(model)
-    s, w = gauss_legendre(0.0, 1.0, 32)
-    got = np.sum(w * np.exp(model.alpha_bar * s)
-                 * np.sqrt(mom.xbar_frac(s) * mom.ybar_frac(s)) * mom.c12(s))
+    mom = _ProxyMoments(model)
+    grid = _grid(model, 1.0)
+    s = grid.nodes
+    got = grid.at_points(np.exp(model.alpha_bar * s)
+                         * np.sqrt(mom.xbar_frac(s) * mom.ybar_frac(s)) * mom.c12(grid))
     assert got == pytest.approx(oracle, rel=1e-8)
 
 
 def test_kernel_cross_family_vanishes_without_correlation():
-    mom = _moments(make_model("mid2", rho=0.0))
-    s = np.linspace(0.0, 2.0, 9)
-    assert np.array_equal(mom.c12(s), np.zeros_like(s))
-
-
-def test_kernel_broadcasts_interval_arrays():
-    mom = _moments(make_model("mid1"))
-    hi = np.array([[1.0, 2.0], [0.5, 4.0]])
-    got = mom.c12(hi)
-    assert got.shape == (2, 2)
-    for k, h in np.ndenumerate(hi):
-        assert got[k] == pytest.approx(mom.c12(float(h)), rel=1e-14)
+    model = make_model("mid2", rho=0.0)
+    grid = _grid(model, np.linspace(0.0, 2.0, 9))
+    assert np.array_equal(_ProxyMoments(model).c12(grid), np.zeros_like(grid.nodes))
 
 
 # --------------------------------------------------------------------------
@@ -338,9 +354,10 @@ def test_proxy_covariance_psd_at_correlation_bounds():
     # c12^2 <= c11 c22 pointwise (Cauchy-Schwarz along the mean path).
     for rho in (-1.0, 1.0):
         model = make_model("mid2", rho=rho)
-        mom = _ProxyMoments(model, 0.0, model.r0, model.lambda0, 64)
-        s = np.linspace(0.05, 5.0, 40)
-        c11, c22, c12 = mom.c11(s), mom.c22(s), mom.c12(s)
+        mom = _ProxyMoments(model)
+        grid = _grid(model, np.linspace(0.05, 5.0, 40), nodes=64)
+        s = grid.nodes
+        c11, c22, c12 = mom.c11(s), mom.c22(s), mom.c12(grid)
         assert np.all(c11 > 0) and np.all(c22 > 0)
         assert np.all(c12**2 <= c11 * c22 * (1.0 + 1e-10))
 
@@ -348,14 +365,14 @@ def test_proxy_covariance_psd_at_correlation_bounds():
 def test_proxy_variances_match_small_time_growth():
     # Leading order c11(s) ~ sigma^2 x0 s for small s.
     model = make_model("mid1")
-    mom = _ProxyMoments(model, 0.0, model.r0, model.lambda0, 32)
+    mom = _ProxyMoments(model)
     s = 1e-4
     assert mom.c11(s) == pytest.approx(model.sigma1**2 * model.r0 * s, rel=1e-3)
     assert mom.c22(s) == pytest.approx(model.sigma2**2 * model.lambda0 * s, rel=1e-3)
 
 
 # --------------------------------------------------------------------------
-# Anchor floor and domain failures
+# Anchor floor
 # --------------------------------------------------------------------------
 
 
@@ -366,14 +383,6 @@ def test_tiny_anchor_warns_only_under_correlation():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v_expansion(make_model("mid2", r0=ANCHOR_FLOOR / 10, rho=0.0), 1.0, order=2)
-
-
-def test_negative_mean_path_anchor_raises_before_fractional_power():
-    # Conditioning at t > 0 can place kernel limits before the anchor, where
-    # the mean path extrapolates below zero; fractional powers must refuse.
-    model = make_model("mid2", alpha2=1.0, beta2=1.0, lambda0=0.1)
-    with pytest.raises(AnchorDomainError, match="intensity mean-path anchor non-positive"):
-        _moments(model, t0=1.0).c12(0.0)
 
 
 def test_negative_short_rate_prices_when_uncorrelated():

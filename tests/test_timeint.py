@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ssrd.timeint import (
+    _RunningGrid,
     exp_integral,
     exp_integral_da,
     exp_integral_da2,
@@ -134,3 +135,32 @@ def test_panel_nodes_rejects_bad_grids():
         panel_nodes(np.array([0.0, 1.0, 1.0]), 4)
     with pytest.raises(ValueError):
         panel_nodes(np.array([0.0, 2.0, 1.0]), 4)
+
+
+@pytest.mark.parametrize("a", [-0.7, 0.0, 0.3])
+@pytest.mark.parametrize(
+    "points",
+    [[2.0, 0.5, 3.5, 1.0], [1.0, 1.0, 0.0, 2.5, 0.0], [[1.0, 2.0], [0.5, 4.0]], 0.0, 7.0],
+    ids=["unsorted", "repeated-and-zero", "2-D", "zero", "one-point"],
+)
+def test_running_grid_integrates_exponentials(a, points):
+    grid = _RunningGrid(points, 24, abs(a))
+    f = np.exp(a * grid.nodes)
+    at_points = grid.at_points(f)
+    assert at_points.shape == np.shape(points)
+    np.testing.assert_allclose(at_points, psi(a, 0.0, np.asarray(points, float)),
+                               rtol=1e-14, atol=0.0)
+    at_nodes = grid.at_nodes(f)
+    assert at_nodes.shape == grid.nodes.shape
+    np.testing.assert_allclose(at_nodes, psi(a, 0.0, grid.nodes), rtol=1e-14, atol=0.0)
+    # leading axes integrate independently
+    both = grid.at_points(np.stack((f, 2.0 * f)))
+    np.testing.assert_array_equal(both[0], at_points)
+
+
+def test_running_grid_cuts_gaps_longer_than_the_growth_scale():
+    grid = _RunningGrid([0.5, 6.0], 8, 1.0)
+    assert grid.nodes.shape == (7, 8)  # [0, 0.5] whole, [0.5, 6] in 6 pieces
+    assert np.all(np.diff(grid.nodes.ravel()) > 0)
+    np.testing.assert_allclose(grid.at_points(np.exp(grid.nodes)), np.expm1([0.5, 6.0]),
+                               rtol=1e-14)
