@@ -203,8 +203,7 @@ def _cmd_match_vol(args) -> int:
     return 0 if res.converged else 3
 
 
-def _cmd_calibrate(args) -> int:
-    with_survival = args.command == "full-pipeline"
+def _pipeline_report(args, command: str, with_survival: bool) -> tuple[CalibrationReport, bool]:
     curve = load_discount_curve(_require(args.curve, "--curve"))
     quotes = load_cds_quotes(_require(args.quotes, "--quotes"))
     config = _effective_config(args)
@@ -234,7 +233,7 @@ def _cmd_calibrate(args) -> int:
         abs(1e4 * mod - mkt) for mod, mkt in zip(model_spreads, quotes.mid_bps)
     )
     report = CalibrationReport(
-        command=args.command,
+        command=command,
         headers=headers,
         rows=rows,
         params=(
@@ -263,8 +262,19 @@ def _cmd_calibrate(args) -> int:
             curve=args.curve, quotes=args.quotes,
         ),
     )
+    return report, result.rates.converged and result.credit.converged
+
+
+def _cmd_calibrate_cds(args) -> int:
+    report, converged = _pipeline_report(args, "calibrate-cds", with_survival=False)
     _emit(report, args.out)
-    return 0 if result.rates.converged and result.credit.converged else 3
+    return 0 if converged else 3
+
+
+def _cmd_full_pipeline(args) -> int:
+    report, converged = _pipeline_report(args, "full-pipeline", with_survival=True)
+    _emit(report, args.out)
+    return 0 if converged else 3
 
 
 def _cmd_price(args) -> int:
@@ -405,7 +415,7 @@ _COMMANDS = (
      "fit the rate factor to discount pillars"),
     ("match-vol", _cmd_match_vol, "curve quotes tmax out",
      "matched rate volatility at the longest tenor"),
-    ("calibrate-cds", _cmd_calibrate, _CALIBRATION_FLAGS,
+    ("calibrate-cds", _cmd_calibrate_cds, _CALIBRATION_FLAGS,
      "three-step calibration to CDS quotes"),
     ("price", _cmd_price, _MODEL_FLAGS, "price a spread curve from explicit parameters"),
     ("survival", _cmd_survival, _MODEL_FLAGS,
@@ -414,7 +424,7 @@ _COMMANDS = (
      "market-implied survival from quotes alone"),
     ("mc-check", _cmd_mc_check, "params tenors config order paths step seed out",
      "Monte Carlo cross-check of expansion values"),
-    ("full-pipeline", _cmd_calibrate, _CALIBRATION_FLAGS,
+    ("full-pipeline", _cmd_full_pipeline, _CALIBRATION_FLAGS,
      "calibrate, reprice at order 2, and compare survival curves"),
 )
 
@@ -441,7 +451,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2
-    except (_InputError, MarketDataError, CalibrationError, UnicodeDecodeError) as exc:
+    except (_InputError, MarketDataError, CalibrationError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -156,7 +156,7 @@ class _ProxyMoments:
         self.p = params
         self.x_frac = max(params.r0, ANCHOR_FLOOR)
         self.y_frac = max(params.lambda0, ANCHOR_FLOOR)
-        if params.rho_hat != 0.0 and (params.r0 < ANCHOR_FLOOR or params.lambda0 < ANCHOR_FLOOR):
+        if params.rho_hat != 0.0 and min(params.r0, params.lambda0) < ANCHOR_FLOOR:
             warnings.warn(
                 "state anchor below %.0e with non-zero correlation; fractional "
                 "powers of the mean path are floored" % ANCHOR_FLOOR,
@@ -184,11 +184,13 @@ class _ProxyMoments:
                                       + p.alpha2 * p.beta2 * theta(p.alpha2, p.alpha2, 0.0, s))
 
     def c12(self, grid: _RunningGrid):
-        """Proxy cross-covariance rho_hat int_0^u e^{abar v} sqrt(xbar ybar) dv at grid nodes u."""
+        """Proxy cross-covariance rho_hat * int_0^u exp(abar v) sqrt(xbar ybar) dv
+        at every grid node u."""
         u = grid.nodes
         if self.p.rho_hat == 0.0:
             return np.zeros(u.shape)
-        integrand = np.exp(self.p.alpha_bar * u) * np.sqrt(self.xbar_frac(u) * self.ybar_frac(u))
+        integrand = np.exp(self.p.alpha_bar * u) * np.sqrt(
+            self.xbar_frac(u) * self.ybar_frac(u))
         return self.p.rho_hat * grid.at_nodes(integrand)
 
 
@@ -208,11 +210,17 @@ class ExpansionTerms:
     v_terms: np.ndarray
     h_terms: np.ndarray
 
+    @property
+    def order(self) -> int:
+        return self.v_terms.shape[0] - 1
+
     def v(self, order: int | None = None) -> np.ndarray:
-        return self.v_terms[: None if order is None else order + 1].sum(axis=0)
+        n = self.order if order is None else order
+        return self.v_terms[: n + 1].sum(axis=0)
 
     def h(self, order: int | None = None) -> np.ndarray:
-        return self.h_terms[: None if order is None else order + 1].sum(axis=0)
+        n = self.order if order is None else order
+        return self.h_terms[: n + 1].sum(axis=0)
 
 
 def _correction_integrals(mom: _ProxyMoments, grid: _RunningGrid, order: int):
@@ -241,16 +249,21 @@ def _correction_integrals(mom: _ProxyMoments, grid: _RunningGrid, order: int):
             grid.at_points_ahead(load1, p.alpha1) + grid.at_points_ahead(load2, p.alpha2))
 
 
-def _terms_engine(p: ModelParams, T: np.ndarray, order: int, n_nodes: int):
+def _terms_engine(params: ModelParams, T: np.ndarray, order: int, n_nodes: int):
+    p = params
+    x, y = p.r0, p.lambda0
     psi1 = np.asarray(psi(-p.alpha1, 0.0, T), dtype=float)
     psi2 = np.asarray(psi(-p.alpha2, 0.0, T), dtype=float)
-    v0 = np.exp(-p.r0 * psi1 - p.alpha1 * p.beta1 * np.asarray(theta(-p.alpha1, p.alpha1, 0.0, T))
-                - p.lambda0 * psi2 - p.alpha2 * p.beta2 * np.asarray(theta(-p.alpha2, p.alpha2, 0.0, T)))
-    mean_y = p.lambda0 + p.alpha2 * p.beta2 * np.asarray(psi(p.alpha2, 0.0, T))
+    v0 = np.exp(-x * psi1 - p.alpha1 * p.beta1 * np.asarray(theta(-p.alpha1, p.alpha1, 0.0, T))
+                - y * psi2 - p.alpha2 * p.beta2 * np.asarray(theta(-p.alpha2, p.alpha2, 0.0, T)))
+    mean_y = y + p.alpha2 * p.beta2 * np.asarray(psi(p.alpha2, 0.0, T))
     v_list = [v0]
     h_list = [v0 * mean_y]
     if order >= 1:
-        grid = _RunningGrid(T, n_nodes, p.alpha1 + p.alpha2)
+        # Gaps are cut up to where e^{(a1+a2) u}, the growth of the rescaled
+        # covariances, overflows; past it the terms are inf whatever the grid.
+        rate = p.alpha1 + p.alpha2
+        grid = _RunningGrid(T, n_nodes, rate, horizon=709.0 / rate)
         i_h1, i_v2 = _correction_integrals(_ProxyMoments(p), grid, order)
         # The payoff-1 transform has no first-order term: the correction
         # operator is linear in the centered state, whose proxy mean is zero
@@ -289,15 +302,19 @@ def expansion_terms(params: ModelParams, maturities, *, order: int = 2,
     return ExpansionTerms(maturities=T, v_terms=v_terms, h_terms=h_terms)
 
 
-def v_expansion(params: ModelParams, maturities, *, order: int = 2, quad_nodes: int = 32):
+def v_expansion(params: ModelParams, maturities, *, order: int = 2,
+                quad_nodes: int = 32):
     """Order-N approximation of E[exp(-int (r+lam))] at the given maturities."""
-    out = expansion_terms(params, maturities, order=order, quad_nodes=quad_nodes).v()
+    res = expansion_terms(params, maturities, order=order, quad_nodes=quad_nodes)
+    out = res.v()
     return float(out[0]) if np.isscalar(maturities) or np.ndim(maturities) == 0 else out
 
 
-def h_expansion(params: ModelParams, maturities, *, order: int = 2, quad_nodes: int = 32):
+def h_expansion(params: ModelParams, maturities, *, order: int = 2,
+                quad_nodes: int = 32):
     """Order-N approximation of exp(a2 T) E[exp(-int (r+lam)) lam_T]."""
-    out = expansion_terms(params, maturities, order=order, quad_nodes=quad_nodes).h()
+    res = expansion_terms(params, maturities, order=order, quad_nodes=quad_nodes)
+    out = res.h()
     return float(out[0]) if np.isscalar(maturities) or np.ndim(maturities) == 0 else out
 
 
@@ -329,23 +346,21 @@ def proxy_bond_expansion(alpha: float, beta: float, state: float, maturities):
     y = float(state)
     alpha = float(alpha)
     beta = float(beta)
-    # B1 and B2 are e^{-alpha w} times running integrals of e^{alpha u}-weighted
-    # integrands, taken at the grid nodes (for the next order) and at the
-    # maturities; L1 and L2 integrate them once more up to the maturities.
+    # B1 and B2 are running integrals against the kernel e^{-alpha (w-u)},
+    # taken at the grid nodes (for the next order) and at the maturities;
+    # L1 and L2 integrate them once more up to the maturities.
     grid = _RunningGrid(tau, _BOND_NODES, alpha)
-    grow = np.exp(alpha * grid.nodes)
     b0 = np.asarray(psi(-alpha, 0.0, grid.nodes))
-    f1 = grow * b0 * b0
-    b1 = -0.5 * grid.at_nodes(f1) / grow
-    f2 = grow * b0 * b1
-    b2 = -grid.at_nodes(f2) / grow
-    s1, s2, int_b1, int_b2 = grid.at_points(np.stack((f1, f2, b1, b2)))
-    decay = np.exp(-alpha * tau)
+    b1, b1_tau = grid.decayed(-0.5 * b0 * b0, alpha)
+    b2, b2_tau = grid.decayed(-b0 * b1, alpha)
+    int_b1, int_b2 = grid.at_points(np.stack((b1, b2)))
 
     p0 = np.exp(-y * np.asarray(psi(-alpha, 0.0, tau))
                 - alpha * beta * np.asarray(theta(-alpha, alpha, 0.0, tau)))
-    lin = 0.5 * y * decay * s1 - alpha * beta * int_b1
-    quad = y * decay * s2 - alpha * beta * int_b2 + 0.5 * lin * lin
+    l1 = -y * b1_tau - alpha * beta * int_b1
+    l2 = -y * b2_tau - alpha * beta * int_b2
+    lin = l1
+    quad = l2 + 0.5 * l1 * l1
     if np.ndim(maturities) == 0:
         return float(p0[0]), float(lin[0]), float(quad[0])
     return p0, lin, quad

@@ -15,6 +15,7 @@ either branch stays below ~1e-12.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -117,7 +118,8 @@ def theta(alpha, beta, t, t2):
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+    x, w = np.polynomial.legendre.leggauss(n)
+    return x, w
 
 
 def gauss_legendre(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -164,13 +166,15 @@ class _RunningGrid:
     0 up to every point or up to every node; a value never depends on larger
     points.  Gaps longer than 1/rate, ``rate`` being the integrands' fastest
     exponential growth, are cut into equal pieces so the running matrix never
-    mixes values more than a factor e apart (unless e^{rate u} overflows).
+    mixes values more than a factor e apart.  A gap that ends at or past
+    ``horizon`` stays whole.
     """
 
-    def __init__(self, points, n: int, rate: float):
+    def __init__(self, points, n: int, rate: float, horizon: float = np.inf):
         breaks = np.unique(np.append(0.0, points))
         gaps = np.diff(breaks)
-        pieces = np.where(rate * breaks[1:] < 709.0, np.ceil(rate * gaps), 1.0).clip(1).astype(int)
+        pieces = np.where(breaks[1:] < horizon, np.ceil(rate * gaps), 1.0)
+        pieces = pieces.clip(1).astype(int)
         gap = np.repeat(np.arange(gaps.size), pieces)
         step = np.arange(gap.size) - np.searchsorted(gap, gap)
         breaks = np.append(breaks[gap] + gaps[gap] * step / pieces[gap], breaks[-1])
@@ -202,12 +206,34 @@ class _RunningGrid:
         inside = np.sum(self.weights * f * psi(-a, self.nodes, hi[:, None]), axis=-1)
         return self._running(psi(-a, lo, hi) * self._before(f)[..., :-1] + inside)[..., self.index]
 
+    def _within(self, f):
+        # int from each gap's lower end to each of its nodes; elementwise
+        # product and sum, not matmul, so a row's value cannot depend on how
+        # many rows there are
+        inside = np.sum(f[..., None, :] * self.matrix, axis=-1)
+        return 0.5 * np.diff(self.breaks)[:, None] * inside
+
     def at_nodes(self, f):
         """int_0^u f for every node u; result shape f.shape."""
-        # elementwise product and sum, not matmul, so a row's value cannot
-        # depend on how many rows there are
-        inside = np.sum(f[..., None, :] * self.matrix, axis=-1)
-        return self._before(f)[..., :-1, None] + 0.5 * np.diff(self.breaks)[:, None] * inside
+        return self._before(f)[..., :-1, None] + self._within(f)
+
+    def decayed(self, f, a: float):
+        """int_0^u e^{-a (u-v)} f(v) dv for a >= 0 and f of shape (gaps, n).
+
+        Returns the values at every node and at every point.  The value is
+        carried from gap to gap, B(hi) = e^{-a h} (B(lo) + int_lo^hi e^{a (v-lo)} f),
+        with the weight e^{a (v-lo)} local to each gap, so nothing grows with u.
+        """
+        h = np.diff(self.breaks)
+        # offsets from each gap's lower end, not nodes - lo, whose rounding
+        # at large u would be magnified by a
+        x = _leggauss(self.matrix.shape[0])[0]
+        local = np.exp(a * 0.5 * h[:, None] * (x + 1.0))
+        g = local * f
+        steps = zip(np.exp(-a * h).tolist(), np.sum(self.weights * g, axis=-1).tolist())
+        carried = accumulate(steps, lambda b, step: step[0] * (b + step[1]), initial=0.0)
+        at_breaks = np.fromiter(carried, float, count=h.size + 1)
+        return (at_breaks[:-1, None] + self._within(g)) / local, at_breaks[self.index]
 
 
 def panel_nodes(breaks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

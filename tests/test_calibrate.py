@@ -190,6 +190,16 @@ def test_matched_vol_falls_back_to_minimizer_when_no_root_reaches_target():
     assert mv.residual > 0.0  # honest: the polynomial cannot hit the target
 
 
+def test_matched_vol_at_fast_mean_reversion_takes_the_root():
+    # alpha1 T = 900: the expansion bond stays finite and inverts to the
+    # true volatility, whose sigma^6 remainder is negligible this fast.
+    rate = CirParams(30.0, 0.05, 0.1, 0.01)
+    mv = match_volatility(rate, rate.x0, 30.0)
+    assert mv.branch == "quadratic-root"
+    assert mv.residual < 1e-10
+    assert mv.sigma1_hat == pytest.approx(rate.sigma, rel=1e-6)
+
+
 def test_matched_vol_rejects_nonpositive_horizon():
     with pytest.raises(CalibrationError, match="horizon"):
         match_volatility(RATE, RATE.x0, 0.0)

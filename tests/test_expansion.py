@@ -229,7 +229,7 @@ def test_proxy_bond_coefficients_match_exact_transform_scaling():
     assert all(e / s**6 < 2.5 for e, s in zip(errs, sigmas))
 
 
-@pytest.mark.parametrize("alpha", [0.2, 2.5])
+@pytest.mark.parametrize("alpha", [0.2, 2.5, 30.0])
 def test_proxy_bond_linear_coefficient_matches_adaptive_quadrature(alpha):
     # lin = -x0 B1(T) - alpha beta int_0^T B1 with B1 from its definition.
     beta, x0, T = 0.03, 0.02, 30.0
@@ -241,6 +241,16 @@ def test_proxy_bond_linear_coefficient_matches_adaptive_quadrature(alpha):
 
     oracle = -x0 * b1(T) - alpha * beta * quad(b1, 0.0, T, epsabs=0.0, epsrel=1e-12, limit=200)[0]
     assert proxy_bond_expansion(alpha, beta, x0, T)[1] == pytest.approx(oracle, rel=1e-11)
+
+
+def test_survival_at_fast_mean_reversion_matches_exact_bond():
+    # alpha T = 900: the one-leg coefficients must not form e^{alpha u}.
+    leg = CirParams(30.0, 0.05, 0.1, 0.01)
+    T = np.array([1.0, 30.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        approx = survival_approx(leg, T, order=2)
+    np.testing.assert_allclose(approx, cir_bond(leg, 0.0, T), rtol=1e-12)
 
 
 def test_proxy_bond_zero_vol_base_is_deterministic_bond():

@@ -164,3 +164,21 @@ def test_running_grid_cuts_gaps_longer_than_the_growth_scale():
     assert np.all(np.diff(grid.nodes.ravel()) > 0)
     np.testing.assert_allclose(grid.at_points(np.exp(grid.nodes)), np.expm1([0.5, 6.0]),
                                rtol=1e-14)
+    # a gap ending at or past the horizon stays whole
+    assert _RunningGrid([0.5, 6.0], 8, 1.0, horizon=3.0).nodes.shape == (2, 8)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.7, 30.0])
+@pytest.mark.parametrize("c", [-0.5, 0.3])
+def test_running_grid_decayed_kernel_matches_closed_form(a, c):
+    # int_0^u e^{-a (u-v)} e^{c v} dv = e^{c u} psi(-(a+c), 0, u); at a = 30
+    # a u reaches 900, where a global e^{a u} weight would overflow.
+    points = np.array([2.0, 30.0, 0.5, 30.0, 0.0])
+    grid = _RunningGrid(points, 24, a)
+    at_nodes, at_points = grid.decayed(np.exp(c * grid.nodes), a)
+    assert np.all(np.isfinite(at_nodes))
+    u = grid.nodes
+    np.testing.assert_allclose(at_nodes, np.exp(c * u) * psi(-(a + c), 0.0, u),
+                               rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(at_points, np.exp(c * points) * psi(-(a + c), 0.0, points),
+                               rtol=1e-14, atol=0.0)
