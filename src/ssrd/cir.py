@@ -16,7 +16,7 @@ A is evaluated in log space through a form that stays exact as sigma -> 0
     q     = sigma^2 / (h (h + alpha)).
 
 The same formulas price a zero-coupon bond off the rate factor or a survival
-probability off the intensity factor; the state is passed explicitly.
+probability off the intensity factor; the state x is always ``params.x0``.
 """
 
 from __future__ import annotations
@@ -68,32 +68,31 @@ def _affine_coefficients(params: CirParams, tau):
     return log_a, b, h, u, denom
 
 
-def cir_bond(params: CirParams, t: float, T, state=None):
-    """E[exp(-int_t^T X ds) | X_t = state], defaulting state to params.x0.
+def cir_bond(params: CirParams, t: float, T):
+    """E[exp(-int_t^T X ds) | X_t = params.x0].
 
     ``T`` may be a scalar or array of maturities >= t.
     """
     T = np.asarray(T, dtype=float)
     if np.any(T < t):
         raise ValueError("maturity before evaluation time")
-    x = params.x0 if state is None else state
     log_a, b, _, _, _ = _affine_coefficients(params, T - t)
-    out = np.exp(log_a - b * x)
+    out = np.exp(log_a - b * params.x0)
     return float(out) if out.ndim == 0 else out
 
 
-def cir_bond_dT(params: CirParams, t: float, T, state=None):
+def cir_bond_dT(params: CirParams, t: float, T):
     """Analytic maturity derivative of cir_bond.
 
-    d/dT [A e^{-B x}] = -bond * (alpha beta B + B' x)   with
+    d/dT [A e^{-B x}] = -bond * (alpha beta B + B' x)   with x = params.x0 and
     B' = 4 h^2 e^{-h tau} / (2 h e^{-h tau} + (alpha+h) u)^2.
 
-    At T = t this equals -state (the instantaneous forward of the factor).
+    At T = t this equals -x (the instantaneous forward of the factor).
     """
     T = np.asarray(T, dtype=float)
     if np.any(T < t):
         raise ValueError("maturity before evaluation time")
-    x = params.x0 if state is None else state
+    x = params.x0
     tau = T - t
     log_a, b, h, u, denom = _affine_coefficients(params, tau)
     b_dT = 4.0 * h * h * np.exp(-h * tau) / (denom * denom)

@@ -31,7 +31,9 @@ accumulated discount loadings:
 
 Every integral here and in the one-leg coefficients starts at time 0 and is
 a running integral, up to each maturity or grid node, on one Gauss-Legendre
-grid over [0, sorted maturities]; no quadrature is nested in another.
+grid over [0, sorted maturities]; no quadrature is nested in another.  With
+its remaining-window factors swapped into an outer integral, v2 is a running
+integral of running integrals.
 
 These match the exact transforms through O(sigma^2) and O(rho sigma^2)
 inclusive: the zero-correlation limit reproduces the per-leg bond convexity
@@ -223,48 +225,45 @@ class ExpansionTerms:
         return self.h_terms[: n + 1].sum(axis=0)
 
 
-def _correction_integrals(mom: _ProxyMoments, grid: _RunningGrid, order: int):
-    """Scalar correction integrals over [0, T] at every point T of the grid.
+def _expand(params: ModelParams, T: np.ndarray, order: int, n_nodes: int):
+    """The expansion on one running grid over [0, sorted T].
 
-    Returns (i_h1, i_v2):
+    Returns the grid and the terms at its nodes and at T, as ExpansionTerms.
+    With F_i(u) = int_0^u load_i the running integrals of the loads
 
-        i_h1 = -int [e^{-a1 s} c12(s) + e^{-a2 s} c22(s)] ds
-        i_v2 =  int { e^{-a1 s} [c11 J1 + c12 J2] + e^{-a2 s} [c12 J1 + c22 J2] } ds
+        load1 = e^{-a1 s} c11 + e^{-a2 s} c12,  load2 = e^{-a1 s} c12 + e^{-a2 s} c22,
 
-    with J_i(s) = psi(-a_i, s, T) the discount loading still ahead of s.  The
-    second one is the variance of the accumulated discount under the proxy,
-    each covariance increment weighted by its remaining exposure window.
-    Both start at time 0 and are running integrals on the one grid.
+    i_h1 = -F_2 and i_v2 = int_0^T sum_i load_i(s) psi(-a_i, s, T) ds
+                         = int_0^T [e^{-a1 w} F_1(w) + e^{-a2 w} F_2(w)] dw,
+    the variance of the accumulated discount under the proxy, each covariance
+    increment weighted by its remaining exposure window.  No term of these
+    running integrals is negative for loads >= 0, so nothing cancels.
     """
-    p = mom.p
-    s = grid.nodes
-    em1 = np.exp(-p.alpha1 * s)
-    em2 = np.exp(-p.alpha2 * s)
-    c12 = mom.c12(grid)
-    load2 = em1 * c12 + em2 * mom.c22(s)  # the weight of J2 is also i_h1's integrand
-    if order < 2:
-        return -grid.at_points(load2), None
-    load1 = em1 * mom.c11(s) + em2 * c12
-    return (-grid.at_points(load2),
-            grid.at_points_ahead(load1, p.alpha1) + grid.at_points_ahead(load2, p.alpha2))
-
-
-def _terms_engine(params: ModelParams, T: np.ndarray, order: int, n_nodes: int):
     p = params
-    x, y = p.r0, p.lambda0
-    psi1 = np.asarray(psi(-p.alpha1, 0.0, T), dtype=float)
-    psi2 = np.asarray(psi(-p.alpha2, 0.0, T), dtype=float)
-    v0 = np.exp(-x * psi1 - p.alpha1 * p.beta1 * np.asarray(theta(-p.alpha1, p.alpha1, 0.0, T))
-                - y * psi2 - p.alpha2 * p.beta2 * np.asarray(theta(-p.alpha2, p.alpha2, 0.0, T)))
-    mean_y = y + p.alpha2 * p.beta2 * np.asarray(psi(p.alpha2, 0.0, T))
+    # Gaps are cut up to where e^{(a1+a2) u}, the growth of the rescaled
+    # covariances, overflows; past it the terms are inf whatever the grid.
+    rate = p.alpha1 + p.alpha2
+    grid = _RunningGrid(T, n_nodes, rate, horizon=709.0 / rate)
+    s = grid.nodes
+    # closed forms once, on the nodes and the maturities together
+    t = np.concatenate((s.ravel(), T.ravel()))
+    v0 = np.exp(-p.r0 * psi(-p.alpha1, 0.0, t)
+                - p.alpha1 * p.beta1 * theta(-p.alpha1, p.alpha1, 0.0, t)
+                - p.lambda0 * psi(-p.alpha2, 0.0, t)
+                - p.alpha2 * p.beta2 * theta(-p.alpha2, p.alpha2, 0.0, t))
+    mean_y = p.lambda0 + p.alpha2 * p.beta2 * psi(p.alpha2, 0.0, t)
     v_list = [v0]
     h_list = [v0 * mean_y]
     if order >= 1:
-        # Gaps are cut up to where e^{(a1+a2) u}, the growth of the rescaled
-        # covariances, overflows; past it the terms are inf whatever the grid.
-        rate = p.alpha1 + p.alpha2
-        grid = _RunningGrid(T, n_nodes, rate, horizon=709.0 / rate)
-        i_h1, i_v2 = _correction_integrals(_ProxyMoments(p), grid, order)
+        mom = _ProxyMoments(p)
+        em1 = np.exp(-p.alpha1 * s)
+        em2 = np.exp(-p.alpha2 * s)
+        c12 = mom.c12(grid)
+        loads = [em1 * c12 + em2 * mom.c22(s)]  # load2, all that i_h1 needs
+        if order >= 2:
+            loads.append(em1 * mom.c11(s) + em2 * c12)
+        running = grid.at_nodes(np.stack(loads))  # F_2 and, at order 2, F_1
+        i_h1 = -np.concatenate((running[0].ravel(), grid.at_points(loads[0]).ravel()))
         # The payoff-1 transform has no first-order term: the correction
         # operator is linear in the centered state, whose proxy mean is zero
         # at the anchor.  The terminal-intensity payoff leaves the
@@ -272,10 +271,17 @@ def _terms_engine(params: ModelParams, T: np.ndarray, order: int, n_nodes: int):
         v_list.append(np.zeros_like(v0))
         h_list.append(i_h1 * v0)
     if order >= 2:
-        v2 = i_v2 * v0
+        g = em1 * running[1] + em2 * running[0]
+        v2 = np.concatenate((grid.at_nodes(g).ravel(), grid.at_points(g).ravel())) * v0
         v_list.append(v2)
         h_list.append(mean_y * v2)
-    return np.stack(v_list), np.stack(h_list)
+    v, h = np.stack(v_list), np.stack(h_list)
+
+    def part(cols, points):
+        shape = (order + 1,) + points.shape
+        return ExpansionTerms(points, v[:, cols].reshape(shape), h[:, cols].reshape(shape))
+
+    return grid, part(slice(0, s.size), s), part(slice(s.size, None), T)
 
 
 def _maturities(maturities) -> np.ndarray:
@@ -297,9 +303,7 @@ def expansion_terms(params: ModelParams, maturities, *, order: int = 2,
         raise ValueError("expansion order must be 0, 1 or 2")
     if quad_nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
-    T = _maturities(maturities)
-    v_terms, h_terms = _terms_engine(params, T, order, quad_nodes)
-    return ExpansionTerms(maturities=T, v_terms=v_terms, h_terms=h_terms)
+    return _expand(params, _maturities(maturities), order, quad_nodes)[2]
 
 
 def v_expansion(params: ModelParams, maturities, *, order: int = 2,

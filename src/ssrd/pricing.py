@@ -17,9 +17,11 @@ plus the accrued coupon paid at default,
     int_0^T exp(-alpha2 s) h(s) (s - t_prev(s)) ds,
 
 where t_prev(s) is the last payment time before s.  The accrual factor has
-a kink at every payment date, so all time integrals here use Gauss-Legendre
-panels aligned with the coupon grid: no panel straddles a payment date, and
-doubling the node count refines every period in place.
+a kink at every payment date, so the time integrals run on the expansion
+engine's own Gauss-Legendre grid laid over the coupon dates: its gaps are
+the panels, no panel straddles a payment date, and doubling the node count
+refines every period in place.  A period longer than the grid's growth
+scale 1/(alpha1 + alpha2) is cut into several equal gaps.
 
 The par spread is the ratio of the two legs.  It is quoted as a decimal
 (multiply by 1e4 for basis points) and is exactly zero at full recovery.
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cir import CirParams, cir_bond, cir_bond_dT
-from .expansion import ModelParams, expansion_terms
+from .expansion import ModelParams, _expand
 from .market import PricingConfig, Schedule, build_schedule
 from .timeint import panel_nodes
 
@@ -84,23 +86,21 @@ def _leg_pieces(
         prot[i] = int exp(-alpha2 s) h(s) ds          over the period,
         acc[i]  = int exp(-alpha2 s) h(s) (s - t_{i-1}) ds,
         coup[i] = dt_i * v(t_i),
-    so any prefix sum prices the contract truncated at a payment date.
+    so any prefix sum prices the contract truncated at a payment date.  The
+    expansion's grid over the coupon dates gives h at its nodes, its gaps
+    being the panels, and v at the dates; a cut period's gaps sum in order.
     """
     times = np.asarray(schedule.times, dtype=float)
     accruals = np.asarray(schedule.accruals, dtype=float)
-    breaks = np.concatenate(([0.0], times))
-    nodes, weights = panel_nodes(breaks, config.quad_nodes)
+    grid, at_nodes, at_times = _expand(params, times, config.order, config.quad_nodes)
+    pieces = np.diff(grid.index, prepend=0)
+    first = grid.index - pieces
+    start = np.repeat(np.concatenate(([0.0], times[:-1])), pieces)
 
-    points = np.concatenate((nodes.ravel(), times))
-    terms = expansion_terms(params, points, order=config.order, quad_nodes=config.quad_nodes)
-    n_panel = nodes.size
-    h_nodes = terms.h().reshape(-1)[:n_panel].reshape(nodes.shape)
-    v_coupon = terms.v().reshape(-1)[n_panel:]
-
-    kernel = weights * np.exp(-params.alpha2 * nodes) * h_nodes
-    prot = np.sum(kernel, axis=1)
-    acc = np.sum(kernel * (nodes - breaks[:-1, None]), axis=1)
-    coup = accruals * v_coupon
+    kernel = grid.weights * np.exp(-params.alpha2 * grid.nodes) * at_nodes.h()
+    prot = np.add.reduceat(np.sum(kernel, axis=1), first)
+    acc = np.add.reduceat(np.sum(kernel * (grid.nodes - start[:, None]), axis=1), first)
+    coup = accruals * at_times.v()
     return prot, acc, coup
 
 
@@ -131,8 +131,9 @@ def spread_ladder(
 
     ``prefix_lengths[k]`` is the number of leading coupon periods in the
     k-th contract.  One expansion evaluation covers the whole family, and
-    because the quadrature panels are per-period, each prefix sum is
-    bit-identical to pricing that contract on its own schedule.  This is
+    because the grid's gaps (a cut period's too) never straddle a coupon
+    date and its running integrals read only earlier gaps, each prefix sum
+    is bit-identical to pricing that contract on its own schedule.  This is
     the hot path of the spread calibration loop (one call per objective
     evaluation instead of one per quote) and deliberately skips the Feller
     warning: callers exploring the parameter space handle that via their
@@ -186,8 +187,9 @@ def uncorrelated_spread(params: ModelParams, schedule: Schedule, config: Pricing
     integrand is P(0,s) * (-d/ds Q)(0,s) and each coupon carries
     P(0,t_i) * Q(0,t_i), with P and Q the closed-form square-root bond
     prices.  No series expansion enters anywhere, which makes this an
-    independent cross-check of ``price_cds``; the quadrature panels match,
-    so any difference between the two isolates the expansion error.  The
+    independent cross-check of ``price_cds``; its panels are the coupon
+    periods, which are the pricing grid's gaps unless a period is cut, so
+    any difference between the two isolates the expansion error.  The
     rate factor uses the same volatility the expansion engine would (the
     matched value when present).
     """

@@ -183,28 +183,15 @@ class _RunningGrid:
         self.nodes, self.weights = gauss_legendre(breaks[:-1], breaks[1:], n)
         self.matrix = _running_matrix(n)
 
-    @staticmethod
-    def _running(steps):
-        # value at every break: 0, then the per-gap steps summed in order
+    def _before(self, f):
+        # value at every break: 0, then the per-gap totals summed in order
+        steps = np.sum(self.weights * f, axis=-1)
         return np.concatenate((np.zeros(steps.shape[:-1] + (1,)),
                                np.cumsum(steps, axis=-1)), axis=-1)
-
-    def _before(self, f):
-        return self._running(np.sum(self.weights * f, axis=-1))
 
     def at_points(self, f):
         """int_0^T f for every point T, in the points' shape."""
         return self._before(f)[..., self.index]
-
-    def at_points_ahead(self, f, a):
-        """int_0^T f(s) psi(-a, s, T) ds for every point T, in the points' shape.
-
-        Summed gap by gap through psi(-a, s, T2) = psi(-a, s, T1) + psi(-a, T1, T2),
-        so every term is non-negative for f >= 0 and nothing cancels.
-        """
-        lo, hi = self.breaks[:-1], self.breaks[1:]
-        inside = np.sum(self.weights * f * psi(-a, self.nodes, hi[:, None]), axis=-1)
-        return self._running(psi(-a, lo, hi) * self._before(f)[..., :-1] + inside)[..., self.index]
 
     def _within(self, f):
         # int from each gap's lower end to each of its nodes; elementwise

@@ -77,3 +77,21 @@ def test_expansion_integrals_share_one_grid():
     finally:
         tracer.uninstall()
     assert 0 < tracer.counts["timeint.gauss_legendre.elems"] <= 20_000
+
+
+def test_ladder_prices_on_the_coupon_grid_itself():
+    # The expansion's running grid is laid over the coupon dates and its
+    # nodes are the quadrature panels: 12 semiannual periods x 32 nodes, no
+    # second grid over the panel nodes (which made 13,056 nodes).
+    config = ssrd.PricingConfig(roll="anniversary", order=2, quad_nodes=32)
+    schedule = ssrd.build_schedule(None, max(MARKET_STRIP_TENORS), config)
+    ends = [len(ssrd.build_schedule(None, t, config).times) for t in MARKET_STRIP_TENORS]
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        ssrd.pricing.spread_ladder(make_model("mid2", rho=0.5), schedule, ends, config)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["timeint.gauss_legendre.elems"] == len(schedule.times) * 32 == 384
+    called = {name for name, *_ in tracer.spans}
+    assert called.isdisjoint({"expansion.expansion_terms", "timeint.panel_nodes"})

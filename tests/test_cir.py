@@ -11,6 +11,8 @@ so the closed form is checked against an independent route, not itself.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,8 +43,9 @@ PARAM_CASES = [rate_leg_params()] + [intensity_leg_params(n) for n in INTENSITY_
 def test_bond_matches_riccati_ode(params, tau):
     phi, b = _riccati_oracle(params, tau)
     # state 0 isolates log A; a second state then pins B
-    assert np.log(cir_bond(params, 0.0, tau, state=0.0)) == pytest.approx(phi, abs=5e-11)
-    slope = -np.log(cir_bond(params, 0.0, tau, state=1.0) / cir_bond(params, 0.0, tau, state=0.0))
+    at_zero = cir_bond(replace(params, x0=0.0), 0.0, tau)
+    assert np.log(at_zero) == pytest.approx(phi, abs=5e-11)
+    slope = -np.log(cir_bond(replace(params, x0=1.0), 0.0, tau) / at_zero)
     assert slope == pytest.approx(b, rel=1e-10)
     assert cir_bond(params, 0.0, tau) == pytest.approx(np.exp(phi - b * params.x0), rel=1e-10)
 
@@ -76,7 +79,7 @@ def test_bond_dT_matches_central_difference():
 def test_bond_dT_at_zero_maturity_is_minus_state():
     params = intensity_leg_params("mid2")
     assert cir_bond_dT(params, 0.0, 0.0) == pytest.approx(-params.x0, rel=1e-12)
-    assert cir_bond_dT(params, 0.0, 0.0, state=0.07) == pytest.approx(-0.07, rel=1e-12)
+    assert cir_bond_dT(replace(params, x0=0.07), 0.0, 0.0) == pytest.approx(-0.07, rel=1e-12)
 
 
 def test_bond_accepts_maturity_arrays_and_explicit_state():
@@ -87,8 +90,8 @@ def test_bond_accepts_maturity_arrays_and_explicit_state():
     for tau, v in zip(taus, vec):
         assert v == cir_bond(params, 0.0, float(tau))
     # exponential-affine in the state: P(2x) P(0) = P(x)^2
-    shifted = cir_bond(params, 0.0, 1.0, state=2 * params.x0)
-    base = cir_bond(params, 0.0, 1.0, state=0.0)
+    shifted = cir_bond(replace(params, x0=2 * params.x0), 0.0, 1.0)
+    base = cir_bond(replace(params, x0=0.0), 0.0, 1.0)
     assert shifted * base == pytest.approx(cir_bond(params, 0.0, 1.0) ** 2, rel=1e-14)
 
 

@@ -27,6 +27,7 @@ from ssrd.expansion import (
     ANCHOR_FLOOR,
     ModelParams,
     _ProxyMoments,
+    _expand,
     expansion_terms,
     h_expansion,
     proxy_bond_expansion,
@@ -204,6 +205,21 @@ def test_fast_mean_reversion_keeps_the_variance_term(set_name):
     v2 = [expansion_terms(model, 10.0, order=2, quad_nodes=n).v_terms[2, 0] for n in (16, 64)]
     assert v2[0] > 0.0
     assert v2[0] == pytest.approx(v2[1], rel=1e-12)
+
+
+@pytest.mark.parametrize(("nodes", "rtol"), [(32, 1e-14), (8, 1e-10)])
+@pytest.mark.parametrize("overrides", [{}, {"alpha2": 8.0}], ids=["mid2", "alpha2=8"])
+@pytest.mark.parametrize("rho", [0.5, -0.9])
+def test_terms_at_the_grid_nodes_match_a_grid_laid_over_them(rho, overrides, nodes, rtol):
+    # The grid over six years of semiannual dates gives h and v at its own
+    # nodes through its running-integration matrix; expansion_terms at
+    # those nodes lays a further grid over every gap between them.  With
+    # alpha1 + alpha2 > 1/0.5 each period is cut into 5 gaps.
+    model = make_model("mid2", rho=rho, **overrides)
+    grid, at_nodes, _ = _expand(model, 0.5 * np.arange(1, 13), 2, nodes)
+    ref = expansion_terms(model, grid.nodes, order=2, quad_nodes=nodes)
+    np.testing.assert_allclose(at_nodes.v(), ref.v(), rtol=rtol, atol=0.0)
+    np.testing.assert_allclose(at_nodes.h(), ref.h(), rtol=rtol, atol=0.0)
 
 
 # --------------------------------------------------------------------------

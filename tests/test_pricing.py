@@ -19,6 +19,12 @@ def _schedule(tenor, config=CFG):
     return build_schedule(None, tenor, config)
 
 
+# Each fixture set, plus mid2 with alpha1 + alpha2 > 1/0.5: the running grid
+# then cuts every semiannual coupon period into 5 gaps.
+MODEL_CASES = [pytest.param(name, {}, id=name) for name in SET_NAMES] + [
+    pytest.param("mid2", {"alpha2": 8.0}, id="mid2-alpha2=8")]
+
+
 # --------------------------------------------------------------------------
 # Deterministic oracle: zero vols, flat hazard
 # --------------------------------------------------------------------------
@@ -63,8 +69,9 @@ def test_legs_match_adaptive_quadrature_in_deterministic_limit():
 
 
 @pytest.mark.parametrize("tenor", [1.0, 3.0, 6.0])
-def test_expansion_spread_matches_exact_factorisation(set_name, tenor):
-    model = make_model(set_name, rho=0.0)
+@pytest.mark.parametrize(("set_name", "overrides"), MODEL_CASES)
+def test_expansion_spread_matches_exact_factorisation(set_name, overrides, tenor):
+    model = make_model(set_name, rho=0.0, **overrides)
     sched = _schedule(tenor)
     exact = uncorrelated_spread(model, sched, CFG)
     got = price_cds(model, sched, CFG).spread
@@ -89,8 +96,9 @@ def test_uncorrelated_reference_uses_matched_rate_vol():
 # --------------------------------------------------------------------------
 
 
-def test_ladder_is_bitwise_identical_to_standalone_pricing(set_name):
-    model = make_model(set_name)
+@pytest.mark.parametrize(("set_name", "overrides"), MODEL_CASES)
+def test_ladder_is_bitwise_identical_to_standalone_pricing(set_name, overrides):
+    model = make_model(set_name, **overrides)
     long = _schedule(5.0)
     ends = [2, 5, 10]
     ladder = spread_ladder(model, long, ends, CFG)
