@@ -11,12 +11,14 @@ lambda0) and optionally the correlation rho to CDS quotes by weighted
 least squares, pricing with the first-order expansion inside the loop and
 re-pricing at second order for the reported fit.
 
-All minimizations run on the deterministic simplex from
-:mod:`ssrd.simplex`; positivity and the correlation bound are enforced by
-the exp/tanh transforms, and the Feller condition by a soft penalty
-10^6 * max(0, sigma^2 - 2 alpha beta)^2 added to the objective (never to
-the reported fit quality, which is always the bare weighted sum of
-squared quote residuals).
+Step 1 is a smooth least-squares problem (one residual per pillar, three
+parameters) and runs on a private Levenberg-Marquardt solver; step 3 runs
+on the simplex from :mod:`ssrd.simplex`.  Both are deterministic.
+Positivity and the correlation bound are enforced by the exp/tanh
+transforms of :class:`~ssrd.simplex.Transform`, and the Feller condition
+by a soft penalty 10^6 * max(0, sigma^2 - 2 alpha beta)^2 added to the
+objective (never to the reported fit quality, which is always the bare
+weighted sum of squared quote residuals).
 
 Spread residuals are kept in decimal units throughout; weights are
 normalized to sum to one, so objective values are comparable across
@@ -119,7 +121,7 @@ def _positive_pillars(curve: DiscountCurve) -> tuple[np.ndarray, np.ndarray]:
     return tenors[keep], dfs[keep]
 
 
-def _rate_starts(tenors: np.ndarray, dfs: np.ndarray, n_starts: int) -> list[np.ndarray]:
+def _rate_starts(tenors: np.ndarray, dfs: np.ndarray) -> list[np.ndarray]:
     """Log-space grid of starting points anchored at the long-end zero rate."""
     level = max(-math.log(dfs[-1]) / tenors[-1], 1e-4)
     grid = [
@@ -128,28 +130,144 @@ def _rate_starts(tenors: np.ndarray, dfs: np.ndarray, n_starts: int) -> list[np.
         (1.00, level, 0.10),
         (0.50, 2.0 * level, 0.05),
         (0.10, 0.5 * level, 0.01),
-        (2.00, level, 0.20),
-        (0.02, level, 0.005),
     ]
-    return [np.array(g) for g in grid[:n_starts]]
+    return [np.array(g) for g in grid]
+
+
+# Levenberg-Marquardt settings: initial damping relative to max diag(J'J),
+# forward-difference step relative to |z|, and the MINPACK-style stopping
+# tolerance shared by the step and the relative-reduction tests.
+_LM_TAU = 1e-3
+_LM_FD_STEP = 1.49e-8
+_LM_TOL = 1e-10
+
+
+def _one_sided(r: np.ndarray) -> np.ndarray:
+    """Residuals as they enter the sum of squares: the last one only when positive."""
+    return np.append(r[:-1], max(0.0, r[-1]))
+
+
+def _sum_sq(r: np.ndarray) -> float:
+    counted = _one_sided(r)
+    return float(counted @ counted)
+
+
+def _levenberg_marquardt(
+    residuals, x0: np.ndarray, transform: Transform, max_iter: int
+) -> CalibrationResult:
+    """Minimize the sum of squares of ``residuals(x)`` from ``x0`` by damped Gauss-Newton.
+
+    The last residual is a one-sided penalty: only its positive part enters
+    the sum.  Works in the unconstrained coordinates z of ``transform``.
+    Each iteration solves (J'J + mu I) d = -J'r with a forward-difference
+    Jacobian in z; mu follows Nielsen's update (Madsen, Nielsen & Tingleff
+    2004).  Levenberg's mu I is used rather than Marquardt's diag(J'J),
+    whose scaling lets a weakly identified volatility collapse to zero.
+    The penalty row joins the system where it is active or where the step
+    without it would activate it, so the model of max(0, c) is max(0, c +
+    J d) -- its one-sided slope alone makes the search crawl along the
+    penalty's edge.  A trial point whose residuals overflow or are not
+    finite is rejected like any step that fails to reduce the sum.
+
+    Convergence is declared on a zero gradient, on a step no larger than
+    1e-10 relative to z, or when the actual and the predicted relative
+    reductions are both at most 1e-10 (More 1978).  Exhausting ``max_iter``
+    returns the current point with ``converged=False``; non-finite
+    residuals at ``x0`` are an error.
+    """
+    t_start = time.perf_counter()
+    n_eval = 0
+
+    def resid(z: np.ndarray) -> np.ndarray | None:
+        nonlocal n_eval
+        n_eval += 1
+        try:
+            r = np.asarray(residuals(transform.constrain(z)), dtype=float)
+        except (OverflowError, ValueError):  # exp overflow, or a parameter out of its domain
+            return None
+        return r if np.all(np.isfinite(r)) else None
+
+    def jacobian(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+        jac = np.empty((r.size, z.size))
+        for j in range(z.size):
+            h = _LM_FD_STEP * max(abs(z[j]), 1.0)
+            zj = z.copy()
+            zj[j] += h
+            jac[:, j] = (resid(zj) - r) / h
+        return jac
+
+    def damped_step(jac: np.ndarray, r: np.ndarray, mu: float, active: bool) -> np.ndarray:
+        if not active:
+            jac, r = jac[:-1], r[:-1]
+        return np.linalg.solve(jac.T @ jac + mu * np.eye(jac.shape[1]), -(jac.T @ r))
+
+    z = transform.unconstrain(np.asarray(x0, dtype=float))
+    r = resid(z)
+    if r is None:
+        raise ValueError("residuals are not finite at the initial point")
+    ssr = _sum_sq(r)
+    jac = jacobian(z, r)
+    rows = jac if r[-1] > 0.0 else jac[:-1]
+    mu = _LM_TAU * float(np.max(np.sum(rows * rows, axis=0)))
+    nu = 2.0
+
+    iterations = 0
+    converged = not np.any(jac.T @ _one_sided(r))
+    while not converged and iterations < max_iter:
+        iterations += 1
+        step = damped_step(jac, r, mu, r[-1] > 0.0)
+        if r[-1] <= 0.0 < r[-1] + jac[-1] @ step:
+            step = damped_step(jac, r, mu, True)
+        if np.linalg.norm(step) <= _LM_TOL * (np.linalg.norm(z) + _LM_TOL):
+            converged = True
+            break
+        r_new = resid(z + step)
+        if r_new is None:
+            mu *= nu
+            nu *= 2.0
+            continue
+        ssr_new = _sum_sq(r_new)
+        predicted = ssr - _sum_sq(r + jac @ step)
+        converged = abs(ssr - ssr_new) <= _LM_TOL * ssr and predicted <= _LM_TOL * ssr
+        # At a rounding-level optimum the predicted reduction can round to <= 0.
+        if ssr_new < ssr and predicted > 0.0:
+            gain = (ssr - ssr_new) / predicted
+            z, r, ssr = z + step, r_new, ssr_new
+            jac = jacobian(z, r)
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+            converged = converged or not np.any(jac.T @ _one_sided(r))
+        else:
+            mu *= nu
+            nu *= 2.0
+
+    return CalibrationResult(
+        x=transform.constrain(z),
+        objective=ssr,
+        iterations=iterations,
+        n_eval=n_eval,
+        converged=converged,
+        elapsed=time.perf_counter() - t_start,
+    )
 
 
 def calibrate_rates(
     curve: DiscountCurve,
     initial: np.ndarray | None = None,
     *,
-    n_starts: int = 5,
     max_iter: int = 4000,
 ) -> CalibrationResult:
     """Fit (alpha1, beta1, sigma1) to discount pillars, r0 held at the observed value.
 
-    Multi-start simplex (best of ``n_starts`` deterministic starting points,
-    plus ``initial`` when given) on the unweighted sum of squared
-    discount-factor errors.  The objective spread tolerance is disabled
-    here: discount errors are tiny in absolute terms and would otherwise
-    stop the search long before the simplex collapses.  Fit quality -- not
-    parameter identification -- is the contract; long-tenor curves carry
-    little independent information about alpha1 vs sigma1.
+    Levenberg-Marquardt from five deterministic starting points (plus
+    ``initial`` when given) on the unweighted discount-factor residuals;
+    the Feller penalty enters as one more, one-sided residual 1e3 *
+    (sigma^2 - 2 alpha beta), counted only when positive, so the sum of
+    squares is the penalized objective.  The
+    best start is returned, with ``n_eval`` and ``iterations`` summed over
+    all starts.  Fit quality -- not parameter identification -- is the
+    contract; long-tenor curves carry little independent information about
+    alpha1 vs sigma1.
     """
     if curve.short_rate is None:
         raise CalibrationError("curve must carry the observed short rate r0")
@@ -165,40 +283,39 @@ def calibrate_rates(
         )
     r0 = curve.short_rate
 
-    def objective(p: np.ndarray) -> float:
+    def residuals(p: np.ndarray) -> np.ndarray:
         alpha, beta, sigma = p
         model = cir_bond(CirParams(alpha, beta, sigma, r0), 0.0, tenors)
-        return float(np.sum((model - dfs) ** 2)) + feller_penalty(alpha, beta, sigma)
+        return np.append(model - dfs, 1e3 * (sigma * sigma - 2.0 * alpha * beta))
 
     t_start = time.perf_counter()
-    starts = _rate_starts(tenors, dfs, n_starts)
+    starts = _rate_starts(tenors, dfs)
     if initial is not None:
         starts.insert(0, np.asarray(initial, dtype=float))
+    transform = Transform(("positive", "positive", "positive"))
     best: CalibrationResult | None = None
     failures: list[str] = []
+    n_eval = iterations = 0
     for s in starts:
         try:
-            res = nelder_mead(
-                objective,
-                s,
-                Transform(("positive", "positive", "positive")),
-                fspread_tol=0.0,
-                max_iter=max_iter,
-            )
+            res = _levenberg_marquardt(residuals, s, transform, max_iter)
         except ValueError as exc:
             failures.append(str(exc))
             continue
+        n_eval += res.n_eval
+        iterations += res.iterations
         if best is None or res.objective < best.objective:
             best = res
     if best is None:
         raise CalibrationError("all starts failed: " + "; ".join(failures))
 
-    alpha, beta, sigma = best.x
-    residuals = cir_bond(CirParams(alpha, beta, sigma, r0), 0.0, tenors) - dfs
+    errors = residuals(best.x)[:-1]
     return replace(
         best,
-        objective=float(np.sum(residuals**2)),
-        residuals=tuple(float(r) for r in residuals),
+        objective=float(np.sum(errors**2)),
+        residuals=tuple(float(e) for e in errors),
+        iterations=iterations,
+        n_eval=n_eval,
         elapsed=time.perf_counter() - t_start,
     )
 

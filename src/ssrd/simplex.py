@@ -1,13 +1,15 @@
 """Nelder-Mead simplex minimization with smooth bound transforms.
 
-Every calibration step here is a small, deterministic least-squares
-problem with a noisy gradient surface, which is exactly the regime where
-a derivative-free simplex shines.  Rolling our own keeps the iteration
-bit-for-bit reproducible: fixed coefficients, no randomized restarts, no
-adaptive tweaks.
+The credit fit (calibration step 3) is a small weighted least-squares
+problem whose expansion-priced objective has a flat valley: a
+derivative-free simplex crosses it in a few hundred evaluations, where
+damped Gauss-Newton steps creep along it.  The smooth rate fit (step 1)
+runs on Levenberg-Marquardt in :mod:`ssrd.calibrate` instead.  Rolling our
+own keeps the iteration bit-for-bit reproducible: fixed coefficients, no
+randomized restarts, no adaptive tweaks.
 
 Bounds are handled by reparametrization rather than clipping, so the
-simplex itself always works in an unconstrained space:
+simplex (and the rate fit's solver) always works in an unconstrained space:
 
     positive     x = exp(z)        (mean-reversion speeds, levels, vols)
     correlation  x = tanh(z)       (rho in [-1, 1])

@@ -31,8 +31,8 @@ __all__ = [
 
 
 def _as_float_arrays(*xs):
-    arrs = [np.asarray(x, dtype=float) for x in xs]
-    return np.broadcast_arrays(*arrs) if len(arrs) > 1 else arrs
+    # Not broadcast: every caller's arithmetic broadcasts its inputs anyway.
+    return [np.asarray(x, dtype=float) for x in xs]
 
 
 def _maybe_scalar(out, *inputs):

@@ -95,3 +95,19 @@ def test_ladder_prices_on_the_coupon_grid_itself():
     assert tracer.counts["timeint.gauss_legendre.elems"] == len(schedule.times) * 32 == 384
     called = {name for name, *_ in tracer.spans}
     assert called.isdisjoint({"expansion.expansion_terms", "timeint.panel_nodes"})
+
+
+def test_rate_fit_runs_without_the_simplex():
+    # Levenberg-Marquardt from five starts on the 7-pillar exact curve: about
+    # 900 bond evaluations and no simplex call (five simplex runs made 6,212).
+    from test_calibrate import _exact_curve
+
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        ssrd.calibrate.calibrate_rates(_exact_curve())
+    finally:
+        tracer.uninstall()
+    called = [name for name, *_ in tracer.spans]
+    assert "simplex.nelder_mead" not in called
+    assert 0 < called.count("cir.cir_bond") <= 1_500

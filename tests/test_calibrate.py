@@ -156,7 +156,60 @@ def test_rate_fit_needs_three_positive_pillars():
 def test_rate_fit_warns_on_flat_unit_curve():
     curve = DiscountCurve(tenors=(1.0, 2.0, 3.0), dfs=(1.0, 1.0, 1.0), short_rate=0.0)
     with pytest.warns(RuntimeWarning, match="flat at 1.0"):
-        calibrate_rates(curve, n_starts=1, max_iter=50)
+        calibrate_rates(curve, max_iter=50)
+
+
+def test_rate_fit_reports_the_work_of_every_start(monkeypatch):
+    # n_eval sums all starts: every bond evaluation inside the fit, the one
+    # that fills the returned residuals aside.
+    calls = 0
+
+    def counting_bond(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return cir_bond(*args, **kwargs)
+
+    monkeypatch.setattr("ssrd.calibrate.cir_bond", counting_bond)
+    res = calibrate_rates(_exact_curve())
+    assert res.n_eval == calls - 1
+    assert res.iterations > 0
+
+
+RATE_PILLARS = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rate_fit_reaches_rounding_level_on_jittered_legs(seed):
+    # Exactly attainable curves around the fixture (log-normal jitter 0.1 on
+    # every leg parameter, r0 included): every fit must converge to a
+    # rounding-level sum of squares without a floating-point warning.
+    rng = np.random.default_rng(seed)
+    alpha, beta, sigma, r0 = np.array([RATE.alpha, RATE.beta, RATE.sigma, RATE.x0]) * np.exp(
+        0.1 * rng.standard_normal(4))
+    leg = CirParams(alpha, beta, sigma, r0)
+    dfs = tuple(float(cir_bond(leg, 0.0, t)) for t in RATE_PILLARS)
+    curve = DiscountCurve(tenors=RATE_PILLARS, dfs=dfs, short_rate=r0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = calibrate_rates(curve)
+    assert res.converged
+    assert res.objective <= 1e-20
+
+
+def test_rate_fit_converges_on_the_feller_boundary():
+    # The leg behind this curve violates Feller (sigma^2 > 2 alpha beta), so
+    # the penalized optimum sits on the boundary.  Modelling the one-sided
+    # penalty only by its slope at the current point left every start
+    # crawling along the boundary until the budget ran out (55,492
+    # evaluations, converged=False); the simplex reached SSR 2.261e-10.
+    leg = CirParams(0.10362705, 0.0128997, 0.05546447, 0.02035826)
+    dfs = tuple(float(cir_bond(leg, 0.0, t)) for t in RATE_PILLARS)
+    res = calibrate_rates(DiscountCurve(tenors=RATE_PILLARS, dfs=dfs, short_rate=leg.x0))
+    assert res.converged
+    assert res.n_eval <= 5_000
+    assert res.objective <= 2.27e-10
+    alpha, beta, sigma = res.x
+    assert abs(sigma * sigma - 2.0 * alpha * beta) <= 1e-6
 
 
 # --------------------------------------------------------------------------
