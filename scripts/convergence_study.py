@@ -11,7 +11,6 @@ reports gaps in standard-error units instead.
 """
 
 import argparse
-import math
 
 import numpy as np
 
@@ -53,7 +52,7 @@ def mc_study(model, maturities, orders, paths, step, seed):
                 if target == "v":
                     approx = float(terms[n].v()[0])
                 else:
-                    approx = float(terms[n].h()[0]) * math.exp(-model.alpha2 * float(T))
+                    approx = float(terms[n].h()[0])
                 row += f"{(approx - est) / se:>15.2f}"
             print(row)
 

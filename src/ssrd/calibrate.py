@@ -167,7 +167,9 @@ def _levenberg_marquardt(
     without it would activate it, so the model of max(0, c) is max(0, c +
     J d) -- its one-sided slope alone makes the search crawl along the
     penalty's edge.  A trial point whose residuals overflow or are not
-    finite is rejected like any step that fails to reduce the sum.
+    finite is rejected like any step that fails to reduce the sum; a
+    difference point past the edge of the finite region is replaced by a
+    backward one, and an error is raised if that is not finite either.
 
     Convergence is declared on a zero gradient, on a step no larger than
     1e-10 relative to z, or when the actual and the predicted relative
@@ -193,7 +195,15 @@ def _levenberg_marquardt(
             h = _LM_FD_STEP * max(abs(z[j]), 1.0)
             zj = z.copy()
             zj[j] += h
-            jac[:, j] = (resid(zj) - r) / h
+            rj = resid(zj)
+            if rj is None:  # past the edge of the finite region: step back
+                h = -h
+                zj[j] = z[j] + h
+                rj = resid(zj)
+                if rj is None:
+                    raise ValueError("residuals are not finite on either side of a "
+                                     "difference step")
+            jac[:, j] = (rj - r) / h
         return jac
 
     def damped_step(jac: np.ndarray, r: np.ndarray, mu: float, active: bool) -> np.ndarray:

@@ -355,8 +355,8 @@ def _cmd_mc_check(args) -> int:
     for T in tenors:
         terms = expansion_terms(params, T, order=config.order, quad_nodes=config.quad_nodes)
         model_v = float(terms.v()[0])
-        model_h = float(terms.h()[0]) * math.exp(-params.alpha2 * T)
-        model_q = float(survival_approx(params.intensity_leg(), T, order=min(config.order, 2)))
+        model_h = float(terms.h()[0])
+        model_q = float(survival_approx(params.intensity_leg(), T, order=config.order))
         estimates = mc_estimate(params, T, config=mc_config)
         for target, model in (("v", model_v), ("h", model_h), ("q", model_q)):
             est, se = estimates[target]

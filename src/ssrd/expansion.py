@@ -1,45 +1,43 @@
 """Small-noise expansion of the joint discounting transform for a pair of
 correlated square-root diffusions (short rate r, default intensity lam).
 
-In the rescaled variables x = exp(a1 t) r, y = exp(a2 t) lam the legs become
-shifted martingales, and the two pricing transforms
+The two pricing transforms
 
-    v(x, y, T) = E[ exp(-int_0^T (r_u + lam_u) du) ]
-    h(x, y, T) = exp(a2 T) E[ exp(-int_0^T (r_u + lam_u) du) lam_T ]
+    v(T) = E[ exp(-int_0^T (r_u + lam_u) du) ]
+    h(T) = E[ exp(-int_0^T (r_u + lam_u) du) lam_T ]
 
-are expanded by Taylor-expanding the PDE coefficients around the mean path
-of (x, y) from the time-zero state.  Order zero freezes everything on the
-mean path and gives the deterministic-limit transform v0 (exponential-affine
-in the state).  The corrections are time-ordered iterated integrals of the
-first-order coefficient operator; evaluating them at the expansion anchor
-collapses each one to a scalar integral of the proxy covariances against
-accumulated discount loadings:
+are expanded around the mean path (rbar, lbar) of (r, lam) from the
+time-zero state.  Order zero freezes everything on the mean path and gives
+the deterministic-limit transform v0 (exponential-affine in the state).  The
+corrections collapse to scalar integrals of the proxy covariances c11, c12,
+c22 of (r, lam).  Each covariance and each correction is a running integral
+against a decaying kernel e^{-a (u-s)}, so no factor grows with time:
+
+    c12(u) = rho_hat int_0^u e^{-(a1+a2)(u-s)} sqrt(rbar lbar)(s) ds
+    D1(u)  = int_0^u e^{-a1 (u-s)} [c11 + c12](s) ds    = Cov(int_0^u (r+lam), r_u)
+    D2(u)  = int_0^u e^{-a2 (u-s)} [c12 + c22](s) ds    = Cov(int_0^u (r+lam), lam_u)
 
     v1 = 0                       (the first-order operator is odd in the
                                   centered state, and the payoff 1 leaves
                                   nothing for it to hit)
-    h1 = -int_0^T [e^{-a1 s} C12(s) + e^{-a2 s} C22(s)] ds * v0
-                                 (covariance of the accumulated discount
+    h1 = -D2(T) * v0             (covariance of the accumulated discount
                                   with the terminal intensity)
-    v2 = int_0^T { e^{-a1 s} [C11 psi(-a1,s,T) + C12 psi(-a2,s,T)]
-                 + e^{-a2 s} [C12 psi(-a1,s,T) + C22 psi(-a2,s,T)] }(s) ds * v0
-                                 (variance of the accumulated discount; the
-                                  remaining-window factors psi(-a, s, T)
-                                  weight each covariance increment by the
-                                  discount exposure it still faces)
-    h2 = (y + a2 b2 psi(a2,0,T)) * v2
+    v2 = int_0^T (D1 + D2) ds * v0
+                                 (half the variance of the accumulated
+                                  discount)
+    h2 = lbar(T) * v2
 
-Every integral here and in the one-leg coefficients starts at time 0 and is
-a running integral, up to each maturity or grid node, on one Gauss-Legendre
-grid over [0, sorted maturities]; no quadrature is nested in another.  With
-its remaining-window factors swapped into an outer integral, v2 is a running
-integral of running integrals.
+with c11 and c22 the closed-form variances of each leg.  Every integral
+here and in the one-leg coefficients starts at time 0 and is a running
+integral, up to each maturity or grid node, on one Gauss-Legendre grid over
+[0, sorted maturities]; no quadrature is nested in another, and v2 is a
+running integral of running integrals.
 
 These match the exact transforms through O(sigma^2) and O(rho sigma^2)
 inclusive: the zero-correlation limit reproduces the per-leg bond convexity
-exactly, and the C12 terms reproduce the integrated rate/intensity covariance.
-The proxy matches the exact mean and per-leg variance of (x, y); only the
-cross-covariance freezes sqrt(x y) at the mean path, which is where the
+exactly, and the c12 terms reproduce the integrated rate/intensity covariance.
+The proxy matches the exact mean and per-leg variance of (r, lam); only the
+cross-covariance freezes sqrt(r lam) at the mean path, which is where the
 anchor floor below comes in for near-zero rate states.
 """
 
@@ -131,10 +129,6 @@ class ModelParams:
         """Effective cross-diffusion coefficient rho * sigma1_active * sigma2."""
         return self.rho * self.sigma1_active * self.sigma2
 
-    @property
-    def alpha_bar(self) -> float:
-        return 0.5 * (self.alpha1 + self.alpha2)
-
     def rate_leg(self) -> CirParams:
         return CirParams(self.alpha1, self.beta1, self.sigma1, self.r0)
 
@@ -146,18 +140,29 @@ class ModelParams:
 # Proxy moments
 # --------------------------------------------------------------------------
 
-class _ProxyMoments:
-    """Mean-path anchors and proxy (co)variances from the time-zero state.
+def _cir_mean(alpha, beta, x0, s):
+    # E[X_s] of a square-root leg started at x0
+    return x0 * np.exp(-alpha * s) + alpha * beta * psi(-alpha, 0.0, s)
 
-    All second moments are exact for the per-leg rescaled processes; the
-    cross term c12 freezes sqrt(xbar ybar) along the mean path and is the
-    only one that needs the quadrature grid.
+
+def _cir_variance(alpha, beta, sigma, x0, s):
+    # Var[X_s] of a square-root leg started at x0; every factor decays in s
+    w = psi(-alpha, 0.0, s)
+    return sigma * sigma * w * (x0 * np.exp(-alpha * s) + 0.5 * alpha * beta * w)
+
+
+class _ProxyMoments:
+    """Mean-path anchors and proxy (co)variances of (r, lam) from the time-zero state.
+
+    The variances are the exact per-leg ones; the covariance c12 freezes
+    sqrt(rbar lbar) along the mean path and is the only one that needs the
+    quadrature grid.
     """
 
     def __init__(self, params: ModelParams):
         self.p = params
-        self.x_frac = max(params.r0, ANCHOR_FLOOR)
-        self.y_frac = max(params.lambda0, ANCHOR_FLOOR)
+        self.r_frac = max(params.r0, ANCHOR_FLOOR)
+        self.lam_frac = max(params.lambda0, ANCHOR_FLOOR)
         if params.rho_hat != 0.0 and min(params.r0, params.lambda0) < ANCHOR_FLOOR:
             warnings.warn(
                 "state anchor below %.0e with non-zero correlation; fractional "
@@ -166,34 +171,30 @@ class _ProxyMoments:
                 stacklevel=3,
             )
 
-    # floored mean path of the rescaled state; positive for every s >= 0
-    def xbar_frac(self, s):
-        return self.x_frac + self.p.alpha1 * self.p.beta1 * psi(self.p.alpha1, 0.0, s)
+    # floored mean paths of (r, lam); positive for every s >= 0
+    def rbar_frac(self, s):
+        return _cir_mean(self.p.alpha1, self.p.beta1, self.r_frac, s)
 
-    def ybar_frac(self, s):
-        return self.y_frac + self.p.alpha2 * self.p.beta2 * psi(self.p.alpha2, 0.0, s)
+    def lbar_frac(self, s):
+        return _cir_mean(self.p.alpha2, self.p.beta2, self.lam_frac, s)
 
     # proxy variances, closed form
     def c11(self, s):
         p = self.p
-        sig = p.sigma1_active
-        return sig * sig * (p.r0 * psi(p.alpha1, 0.0, s)
-                            + p.alpha1 * p.beta1 * theta(p.alpha1, p.alpha1, 0.0, s))
+        return _cir_variance(p.alpha1, p.beta1, p.sigma1_active, p.r0, s)
 
     def c22(self, s):
         p = self.p
-        return p.sigma2 * p.sigma2 * (p.lambda0 * psi(p.alpha2, 0.0, s)
-                                      + p.alpha2 * p.beta2 * theta(p.alpha2, p.alpha2, 0.0, s))
+        return _cir_variance(p.alpha2, p.beta2, p.sigma2, p.lambda0, s)
 
     def c12(self, grid: _RunningGrid):
-        """Proxy cross-covariance rho_hat * int_0^u exp(abar v) sqrt(xbar ybar) dv
+        """Proxy covariance rho_hat * int_0^u e^{-(a1+a2)(u-v)} sqrt(rbar lbar)(v) dv
         at every grid node u."""
         u = grid.nodes
         if self.p.rho_hat == 0.0:
             return np.zeros(u.shape)
-        integrand = np.exp(self.p.alpha_bar * u) * np.sqrt(
-            self.xbar_frac(u) * self.ybar_frac(u))
-        return self.p.rho_hat * grid.at_nodes(integrand)
+        root = np.sqrt(self.rbar_frac(u) * self.lbar_frac(u))
+        return self.p.rho_hat * grid.decayed(root, self.p.alpha1 + self.p.alpha2)[0]
 
 
 # --------------------------------------------------------------------------
@@ -229,21 +230,15 @@ def _expand(params: ModelParams, T: np.ndarray, order: int, n_nodes: int):
     """The expansion on one running grid over [0, sorted T].
 
     Returns the grid and the terms at its nodes and at T, as ExpansionTerms.
-    With F_i(u) = int_0^u load_i the running integrals of the loads
-
-        load1 = e^{-a1 s} c11 + e^{-a2 s} c12,  load2 = e^{-a1 s} c12 + e^{-a2 s} c22,
-
-    i_h1 = -F_2 and i_v2 = int_0^T sum_i load_i(s) psi(-a_i, s, T) ds
-                         = int_0^T [e^{-a1 w} F_1(w) + e^{-a2 w} F_2(w)] dw,
+    The kernels D1 and D2 of the module docstring are carried from gap to gap
+    by ``_RunningGrid.decayed``; i_h1 = -D2 and i_v2 = int_0^T (D1 + D2), half
     the variance of the accumulated discount under the proxy, each covariance
     increment weighted by its remaining exposure window.  No term of these
-    running integrals is negative for loads >= 0, so nothing cancels.
+    running integrals is negative for covariances >= 0, so nothing cancels.
     """
     p = params
-    # Gaps are cut up to where e^{(a1+a2) u}, the growth of the rescaled
-    # covariances, overflows; past it the terms are inf whatever the grid.
-    rate = p.alpha1 + p.alpha2
-    grid = _RunningGrid(T, n_nodes, rate, horizon=709.0 / rate)
+    # Gaps are cut to at most 1/(a1+a2), the fastest decay among the kernels.
+    grid = _RunningGrid(T, n_nodes, p.alpha1 + p.alpha2)
     s = grid.nodes
     # closed forms once, on the nodes and the maturities together
     t = np.concatenate((s.ravel(), T.ravel()))
@@ -251,30 +246,24 @@ def _expand(params: ModelParams, T: np.ndarray, order: int, n_nodes: int):
                 - p.alpha1 * p.beta1 * theta(-p.alpha1, p.alpha1, 0.0, t)
                 - p.lambda0 * psi(-p.alpha2, 0.0, t)
                 - p.alpha2 * p.beta2 * theta(-p.alpha2, p.alpha2, 0.0, t))
-    mean_y = p.lambda0 + p.alpha2 * p.beta2 * psi(p.alpha2, 0.0, t)
+    mean_lam = _cir_mean(p.alpha2, p.beta2, p.lambda0, t)
     v_list = [v0]
-    h_list = [v0 * mean_y]
+    h_list = [v0 * mean_lam]
     if order >= 1:
         mom = _ProxyMoments(p)
-        em1 = np.exp(-p.alpha1 * s)
-        em2 = np.exp(-p.alpha2 * s)
         c12 = mom.c12(grid)
-        loads = [em1 * c12 + em2 * mom.c22(s)]  # load2, all that i_h1 needs
-        if order >= 2:
-            loads.append(em1 * mom.c11(s) + em2 * c12)
-        running = grid.at_nodes(np.stack(loads))  # F_2 and, at order 2, F_1
-        i_h1 = -np.concatenate((running[0].ravel(), grid.at_points(loads[0]).ravel()))
+        d2, d2_at_T = grid.decayed(c12 + mom.c22(s), p.alpha2)
         # The payoff-1 transform has no first-order term: the correction
         # operator is linear in the centered state, whose proxy mean is zero
         # at the anchor.  The terminal-intensity payoff leaves the
         # discount/terminal covariance behind.
         v_list.append(np.zeros_like(v0))
-        h_list.append(i_h1 * v0)
+        h_list.append(-np.concatenate((d2.ravel(), d2_at_T.ravel())) * v0)
     if order >= 2:
-        g = em1 * running[1] + em2 * running[0]
-        v2 = np.concatenate((grid.at_nodes(g).ravel(), grid.at_points(g).ravel())) * v0
+        d = grid.decayed(mom.c11(s) + c12, p.alpha1)[0] + d2
+        v2 = np.concatenate((grid.at_nodes(d).ravel(), grid.at_points(d).ravel())) * v0
         v_list.append(v2)
-        h_list.append(mean_y * v2)
+        h_list.append(mean_lam * v2)
     v, h = np.stack(v_list), np.stack(h_list)
 
     def part(cols, points):
@@ -316,7 +305,7 @@ def v_expansion(params: ModelParams, maturities, *, order: int = 2,
 
 def h_expansion(params: ModelParams, maturities, *, order: int = 2,
                 quad_nodes: int = 32):
-    """Order-N approximation of exp(a2 T) E[exp(-int (r+lam)) lam_T]."""
+    """Order-N approximation of E[exp(-int (r+lam)) lam_T]."""
     res = expansion_terms(params, maturities, order=order, quad_nodes=quad_nodes)
     out = res.h()
     return float(out[0]) if np.isscalar(maturities) or np.ndim(maturities) == 0 else out

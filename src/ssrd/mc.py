@@ -9,11 +9,8 @@ Time integrals use the trapezoid rule on the simulation grid.
 
 Targets, all three read off one set of simulated paths:
     v   E[exp(-int_0^T (r+lambda))]           (defaultable bond kernel)
-    h   E[exp(-int_0^T (r+lambda)) lambda_T]  (unscaled default-leg density)
+    h   E[exp(-int_0^T (r+lambda)) lambda_T]  (default-leg density)
     q   E[exp(-int_0^T lambda)]               (survival probability)
-
-Note the h target carries no exp(alpha2 T) rescaling; multiply the
-expansion engine's h by exp(-alpha2 T) before comparing.
 
 Paths are split into fixed-size blocks with seeds derived from one
 ``SeedSequence``, and block results reduce in block order, so estimates

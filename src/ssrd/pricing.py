@@ -5,22 +5,22 @@ intensity lam, the loss leg of a contract maturing at T pays (1 - recovery)
 at the default time if it lands in (0, T]; its value is
 
     (1 - recovery) * int_0^T E[exp(-int_0^s (r+lam)) lam_s] ds
-    = (1 - recovery) * int_0^T exp(-alpha2 s) h(s) ds,
+    = (1 - recovery) * int_0^T h(s) ds,
 
-since the expansion engine's h carries the exp(+alpha2 s) change of scale.
-The premium leg per unit of running spread collects the coupons,
+h being the expansion engine's terminal-intensity transform.  The premium
+leg per unit of running spread collects the coupons,
 
     sum_i dt_i * E[exp(-int_0^{t_i} (r+lam))] = sum_i dt_i * v(t_i),
 
 plus the accrued coupon paid at default,
 
-    int_0^T exp(-alpha2 s) h(s) (s - t_prev(s)) ds,
+    int_0^T h(s) (s - t_prev(s)) ds,
 
 where t_prev(s) is the last payment time before s.  The accrual factor has
 a kink at every payment date, so the time integrals run on the expansion
 engine's own Gauss-Legendre grid laid over the coupon dates: its gaps are
 the panels, no panel straddles a payment date, and doubling the node count
-refines every period in place.  A period longer than the grid's growth
+refines every period in place.  A period longer than the grid's decay
 scale 1/(alpha1 + alpha2) is cut into several equal gaps.
 
 The par spread is the ratio of the two legs.  It is quoted as a decimal
@@ -83,8 +83,8 @@ def _leg_pieces(
     """Per-coupon-period leg contributions, one expansion call for all of them.
 
     For period i = (t_{i-1}, t_i] returns
-        prot[i] = int exp(-alpha2 s) h(s) ds          over the period,
-        acc[i]  = int exp(-alpha2 s) h(s) (s - t_{i-1}) ds,
+        prot[i] = int h(s) ds                over the period,
+        acc[i]  = int h(s) (s - t_{i-1}) ds,
         coup[i] = dt_i * v(t_i),
     so any prefix sum prices the contract truncated at a payment date.  The
     expansion's grid over the coupon dates gives h at its nodes, its gaps
@@ -97,7 +97,7 @@ def _leg_pieces(
     first = grid.index - pieces
     start = np.repeat(np.concatenate(([0.0], times[:-1])), pieces)
 
-    kernel = grid.weights * np.exp(-params.alpha2 * grid.nodes) * at_nodes.h()
+    kernel = grid.weights * at_nodes.h()
     prot = np.add.reduceat(np.sum(kernel, axis=1), first)
     acc = np.add.reduceat(np.sum(kernel * (grid.nodes - start[:, None]), axis=1), first)
     coup = accruals * at_times.v()

@@ -164,17 +164,16 @@ class _RunningGrid:
 
     Integrands, given at the nodes with any leading axes, are integrated from
     0 up to every point or up to every node; a value never depends on larger
-    points.  Gaps longer than 1/rate, ``rate`` being the integrands' fastest
-    exponential growth, are cut into equal pieces so the running matrix never
-    mixes values more than a factor e apart.  A gap that ends at or past
-    ``horizon`` stays whole.
+    points.  Gaps longer than 1/rate, ``rate`` being the fastest decay among
+    the integrands' kernels e^{-a (u-v)}, are cut into ceil(rate * gap) equal
+    pieces, so within any gap a kernel, and the local weight of ``decayed``,
+    never varies by more than a factor e.
     """
 
-    def __init__(self, points, n: int, rate: float, horizon: float = np.inf):
+    def __init__(self, points, n: int, rate: float):
         breaks = np.unique(np.append(0.0, points))
         gaps = np.diff(breaks)
-        pieces = np.where(breaks[1:] < horizon, np.ceil(rate * gaps), 1.0)
-        pieces = pieces.clip(1).astype(int)
+        pieces = np.ceil(rate * gaps).clip(1).astype(int)
         gap = np.repeat(np.arange(gaps.size), pieces)
         step = np.arange(gap.size) - np.searchsorted(gap, gap)
         breaks = np.append(breaks[gap] + gaps[gap] * step / pieces[gap], breaks[-1])

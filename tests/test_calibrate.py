@@ -15,6 +15,7 @@ from ssrd.calibrate import (
     BootstrapAnomalyWarning,
     CalibrationError,
     WeightVector,
+    _levenberg_marquardt,
     assemble_model,
     bootstrap_survival,
     calibrate_cds,
@@ -27,6 +28,7 @@ from ssrd.calibrate import (
 from ssrd.cir import CirParams, cir_bond
 from ssrd.market import CdsQuoteSet, DiscountCurve, PricingConfig, build_schedule
 from ssrd.pricing import spread_ladder
+from ssrd.simplex import Transform
 
 CFG = PricingConfig(roll="anniversary")
 RATE = CirParams(RATE_FIXTURE["alpha1"], RATE_FIXTURE["beta1"],
@@ -210,6 +212,25 @@ def test_rate_fit_converges_on_the_feller_boundary():
     assert res.objective <= 2.27e-10
     alpha, beta, sigma = res.x
     assert abs(sigma * sigma - 2.0 * alpha * beta) <= 1e-6
+
+
+def test_lm_jacobian_steps_back_at_the_edge_of_the_finite_region():
+    # Finite up to x = 1 and inf just above it: from x0 = 1 the forward
+    # difference point lies past the edge, so the Jacobian differences
+    # backward and the fit stays on the finite side.
+    def edge(p):
+        return np.array([p[0] - 2.0 if p[0] <= 1.0 else np.inf, -1.0])
+
+    res = _levenberg_marquardt(edge, np.array([1.0]), Transform(("positive",)), 50)
+    assert res.x[0] <= 1.0 and res.objective == pytest.approx(1.0, rel=1e-6)
+
+    # Finite at x = 1 alone: no difference can be formed, and the start fails
+    # with the ValueError that calibrate_rates records as a failed start.
+    def point(p):
+        return np.array([0.5 if p[0] == 1.0 else np.inf, -1.0])
+
+    with pytest.raises(ValueError, match="either side"):
+        _levenberg_marquardt(point, np.array([1.0]), Transform(("positive",)), 50)
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from conftest import RATE_FIXTURE, make_model
 from ssrd.calibrate import bootstrap_survival
 from ssrd.cir import CirParams, cir_bond
 from ssrd.cli import main
-from ssrd.expansion import survival_approx
+from ssrd.expansion import ModelParams, h_expansion, survival_approx
 from ssrd.market import CdsQuoteSet, PricingConfig, build_schedule
 from ssrd.pricing import spread_curve, spread_ladder
 from ssrd.report import fmt_bps
@@ -243,6 +243,22 @@ def test_mc_check_agrees_with_library_formats(market_dir, capsys):
         assert re.search(rf"^\s*1\s+{target}\s+0\.\d{{8}}\s+\S+\s+0\.\d{{8}}\s+[+-]\d+\.\d{{2}}$",
                          stdout, re.M), (target, stdout)
     assert re.search(r"^\s*paths\s+= 4000$", stdout, re.M)
+
+
+def test_mc_check_h_column_is_the_expansion_h(market_dir, capsys):
+    # h is E[exp(-int (r+lam)) lam_T] in the library and in the report alike:
+    # the model column is h_expansion as it is, not rescaled.
+    text = (market_dir / "params.txt").read_text()
+    params = ModelParams(**{k: float(v) for k, v in (ln.split("=") for ln in text.split())})
+    code = run_cli("mc-check", "--params", str(market_dir / "params.txt"),
+                   "--config", str(market_dir / "config.txt"),
+                   "--tenors", "1,3", "--paths", "400", "--step", "0.05")
+    assert code == 0
+    stdout = capsys.readouterr().out
+    for T in (1.0, 3.0):
+        model = re.escape(f"{h_expansion(params, T, order=2, quad_nodes=32):.8f}")
+        assert re.search(rf"^\s*{T:g}\s+h\s+\S+\s+\S+\s+{model}\s+[+-]\d+\.\d{{2}}$",
+                         stdout, re.M), (T, stdout)
 
 
 def test_mc_check_simulates_once_per_tenor(market_dir, monkeypatch, capsys):

@@ -34,7 +34,7 @@ from ssrd.expansion import (
     survival_approx,
     v_expansion,
 )
-from ssrd.timeint import _RunningGrid, psi
+from ssrd.timeint import _RunningGrid
 
 MATURITIES = np.array([0.5, 1.0, 2.0, 3.0, 5.0])
 
@@ -150,21 +150,24 @@ def test_deterministic_limit_is_exact(set_name):
     lam_bar = model.lambda0 * np.exp(-model.alpha2 * MATURITIES) + model.beta2 * (
         -np.expm1(-model.alpha2 * MATURITIES)
     )
-    np.testing.assert_allclose(
-        terms.h() * np.exp(-model.alpha2 * MATURITIES), expected_v * lam_bar, rtol=1e-12
-    )
+    np.testing.assert_allclose(terms.h(), expected_v * lam_bar, rtol=1e-12)
 
 
 def test_uncorrelated_transform_factorizes(set_name):
-    model = make_model(set_name, rho=0.0)
-    p = cir_bond(model.rate_leg(), 0.0, MATURITIES)
-    q = cir_bond(model.intensity_leg(), 0.0, MATURITIES)
-    v2 = v_expansion(model, MATURITIES, order=2)
-    np.testing.assert_allclose(v2, p * q, rtol=1e-3)
-    # h carries the exp(alpha2 T) rescaling of the terminal intensity
-    h2 = h_expansion(model, MATURITIES, order=2)
-    oracle = np.exp(model.alpha2 * MATURITIES) * p * (-cir_bond_dT(model.intensity_leg(), 0.0, MATURITIES))
-    np.testing.assert_allclose(h2, oracle, rtol=1e-3)
+    # At alpha2 = 12 the intensity covariances relax over alpha2 T up to 360,
+    # far past where a factor e^{alpha2 T} would overflow.
+    for overrides, T in (({}, MATURITIES), ({"alpha2": 12.0}, np.array([1.0, 10.0, 30.0]))):
+        model = make_model(set_name, rho=0.0, **overrides)
+        p = cir_bond(model.rate_leg(), 0.0, T)
+        q = cir_bond(model.intensity_leg(), 0.0, T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v2 = v_expansion(model, T, order=2)
+            h2 = h_expansion(model, T, order=2)
+        np.testing.assert_allclose(v2, p * q, rtol=1e-3)
+        # h is the plain terminal-intensity transform E[e^{-int (r+lam)} lam_T]
+        oracle = p * (-cir_bond_dT(model.intensity_leg(), 0.0, T))
+        np.testing.assert_allclose(h2, oracle, rtol=1e-3)
 
 
 def test_second_order_tightens_the_uncorrelated_fit(set_name):
@@ -320,47 +323,49 @@ def test_kernel_empty_interval_is_zero():
     mom = _ProxyMoments(model)
     assert mom.c12(_grid(model, 0.0)).size == 0  # no gap, no node
     grid = _grid(model, [0.0, 1.0])
-    g = np.exp(model.alpha_bar * grid.nodes) * np.sqrt(
-        mom.xbar_frac(grid.nodes) * mom.ybar_frac(grid.nodes))
+    g = np.sqrt(mom.rbar_frac(grid.nodes) * mom.lbar_frac(grid.nodes))
     assert grid.at_points(g)[0] == 0.0
+    assert grid.decayed(g, model.alpha1 + model.alpha2)[1][0] == 0.0
 
 
 def test_kernel_mean_path_weight_matches_adaptive_quadrature():
+    # int_0^3 e^{-(a1+a2)(3-u)} rbar(u) sqrt(lbar(u)) du, the mean paths
+    # written out as the mean-reverting ODE solutions
     model = make_model("fast")
-    x, y = model.r0, model.lambda0
+    rate = model.alpha1 + model.alpha2
 
-    def xbar(u):
-        return x + model.alpha1 * model.beta1 * psi(model.alpha1, 0.0, u)
+    def rbar(u):
+        return model.beta1 + (model.r0 - model.beta1) * np.exp(-model.alpha1 * u)
 
-    def ybar(u):
-        return y + model.alpha2 * model.beta2 * psi(model.alpha2, 0.0, u)
+    def lbar(u):
+        return model.beta2 + (model.lambda0 - model.beta2) * np.exp(-model.alpha2 * u)
 
-    oracle, _ = quad(lambda u: np.exp(0.1 * u) * xbar(u) * np.sqrt(ybar(u)), 0.0, 3.0,
+    oracle, _ = quad(lambda u: np.exp(-rate * (3.0 - u)) * rbar(u) * np.sqrt(lbar(u)), 0.0, 3.0,
                      epsabs=1e-15, epsrel=1e-13)
     mom = _ProxyMoments(model)
     grid = _grid(model, 3.0)
     u = grid.nodes
-    got = grid.at_points(np.exp(0.1 * u) * mom.xbar_frac(u) * mom.ybar_frac(u) ** 0.5)
+    got = grid.decayed(mom.rbar_frac(u) * mom.lbar_frac(u) ** 0.5, rate)[1]
     assert got == pytest.approx(oracle, rel=1e-10)
 
 
 def test_kernel_cross_covariance_family_matches_dense_trapezoid():
-    # Outer integral of exp(abar u) sqrt(xbar ybar) c12(u) on [0, 1], with the
-    # inner c12 built independently by cumulative trapezoid on 1e5 panels.
+    # Outer integral of e^{-a2 (1-u)} c12(u) on [0, 1], the cross term of D2,
+    # with the inner c12 built independently by cumulative trapezoid on 1e5
+    # panels: c12' = -(a1+a2) c12 + rho_hat sqrt(rbar lbar), c12(0) = 0, is
+    # solved by its integrating factor e^{(a1+a2) u}.
     model = make_model("mid2")
     n = 100_001
     u = np.linspace(0.0, 1.0, n)
-    xbar = model.r0 + model.alpha1 * model.beta1 * psi(model.alpha1, 0.0, u)
-    ybar = model.lambda0 + model.alpha2 * model.beta2 * psi(model.alpha2, 0.0, u)
-    growth = np.exp(model.alpha_bar * u)
-    root = np.sqrt(xbar * ybar)
-    c12 = model.rho_hat * cumulative_trapezoid(growth * root, u, initial=0.0)
-    oracle = np.trapezoid(growth * root * c12, u)
+    rbar = model.beta1 + (model.r0 - model.beta1) * np.exp(-model.alpha1 * u)
+    lbar = model.beta2 + (model.lambda0 - model.beta2) * np.exp(-model.alpha2 * u)
+    growth = np.exp((model.alpha1 + model.alpha2) * u)
+    root = np.sqrt(rbar * lbar)
+    c12 = model.rho_hat * cumulative_trapezoid(growth * root, u, initial=0.0) / growth
+    oracle = np.trapezoid(np.exp(-model.alpha2 * (1.0 - u)) * c12, u)
     mom = _ProxyMoments(model)
     grid = _grid(model, 1.0)
-    s = grid.nodes
-    got = grid.at_points(np.exp(model.alpha_bar * s)
-                         * np.sqrt(mom.xbar_frac(s) * mom.ybar_frac(s)) * mom.c12(grid))
+    got = grid.decayed(mom.c12(grid), model.alpha2)[1]
     assert got == pytest.approx(oracle, rel=1e-8)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import SET_NAMES, make_model
+from conftest import MARKET_STRIP_TENORS, SET_NAMES, make_model
 from ssrd.market import PricingConfig, build_schedule
 from ssrd.pricing import price_cds, spread_curve, spread_ladder, uncorrelated_spread
 
@@ -105,6 +105,20 @@ def test_ladder_is_bitwise_identical_to_standalone_pricing(set_name, overrides):
     for k, spread in zip(ends, ladder):
         single = price_cds(model, _schedule(long.times[k - 1]), CFG).spread
         assert spread == single  # exact float equality, not approx
+
+
+@pytest.mark.parametrize("alpha2", [60.0, 200.0, 1e3])
+def test_order_one_ladder_is_finite_at_fast_intensity_reversion(alpha2):
+    # The 11-quote six-year strip with alpha2 T up to 6,000: every kernel
+    # decays from gap to gap, so nothing overflows on the way.
+    config = PricingConfig(roll="anniversary", order=1, quad_nodes=8)
+    model = make_model("mid2", rho=0.5, alpha2=alpha2)
+    union = _schedule(max(MARKET_STRIP_TENORS), config)
+    ends = [len(_schedule(t, config).times) for t in MARKET_STRIP_TENORS]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ladder = spread_ladder(model, union, ends, config)
+    assert np.all(np.isfinite(ladder)) and np.all(ladder > 0.0)
 
 
 def test_ladder_rejects_out_of_range_prefixes():

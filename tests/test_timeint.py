@@ -164,8 +164,6 @@ def test_running_grid_cuts_gaps_longer_than_the_growth_scale():
     assert np.all(np.diff(grid.nodes.ravel()) > 0)
     np.testing.assert_allclose(grid.at_points(np.exp(grid.nodes)), np.expm1([0.5, 6.0]),
                                rtol=1e-14)
-    # a gap ending at or past the horizon stays whole
-    assert _RunningGrid([0.5, 6.0], 8, 1.0, horizon=3.0).nodes.shape == (2, 8)
 
 
 @pytest.mark.parametrize("a", [0.0, 0.7, 30.0])
