@@ -18,7 +18,7 @@ import numpy as np
 from ssrd.calibrate import assemble_model, match_volatility, run_pipeline
 from ssrd.cir import CirParams, cir_bond
 from ssrd.market import CdsQuoteSet, DiscountCurve, PricingConfig
-from ssrd.pricing import build_schedule, spread_ladder
+from ssrd.pricing import spread_curve
 from ssrd.report import fmt_bps, fmt_param, relative_error_pct
 
 RATE = CirParams(alpha=0.2, beta=0.03, sigma=0.05, x0=0.02)
@@ -38,9 +38,7 @@ def synthesize(credit, tenors, config, half_width):
     """Quotes priced from the assembled truth model, plus the exact curve."""
     vol = match_volatility(RATE, RATE.x0, max(tenors))
     model = assemble_model(RATE, vol.sigma1_hat, np.asarray(credit), correlated=True)
-    union = build_schedule(None, max(tenors), config)
-    ends = [len(build_schedule(None, t, config).times) for t in tenors]
-    mids = [float(s) * 1e4 for s in spread_ladder(model, union, ends, config)]
+    mids = [s * 1e4 for _, s in spread_curve(model, tenors, config)]
     quotes = CdsQuoteSet(
         tenors=tuple(tenors),
         bid_bps=tuple(m - half_width for m in mids),

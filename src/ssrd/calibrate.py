@@ -36,8 +36,8 @@ import numpy as np
 
 from .cir import CirParams, cir_bond
 from .expansion import ModelParams, proxy_bond_expansion
-from .market import CdsQuoteSet, DiscountCurve, PricingConfig, build_schedule
-from .pricing import spread_ladder
+from .market import CdsQuoteSet, DiscountCurve, PricingConfig
+from .pricing import _strip, spread_ladder
 from .simplex import CalibrationResult, Transform, nelder_mead
 
 __all__ = [
@@ -429,13 +429,12 @@ def assemble_model(
 def _quote_schedules(quotes: CdsQuoteSet, config: PricingConfig):
     """Union coupon grid and per-quote prefix lengths for the ladder pricer."""
     valuation = config.valuation if config.valuation is not None else quotes.valuation
-    schedules = [build_schedule(valuation, float(T), config) for T in quotes.tenors]
-    union = max(schedules, key=lambda s: len(s.times))
-    if not all(s.is_prefix_of(union) for s in schedules):
+    strip = _strip(valuation, quotes.tenors, config)
+    if strip is None:
         raise CalibrationError(
             "quote schedules do not share a coupon grid; align tenors to the roll cycle"
         )
-    return union, [len(s.times) for s in schedules]
+    return strip
 
 
 def calibrate_cds(

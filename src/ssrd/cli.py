@@ -4,9 +4,10 @@ Every subcommand reads CSV/key=value inputs, runs the corresponding
 library operations, prints an aligned report table to stdout, and -- when
 ``--out DIR`` is given -- writes the same report as ``<command>.txt``,
 ``.csv``, and ``.json`` alongside each other.  Exit status: 0 on success,
-2 on any input problem (missing file, schema violation, bad flag
-combination), 3 when a calibration ran but did not converge.  Any other
-exception is an internal fault and propagates.
+2 on any input problem (missing or unreadable file, an ``--out`` that
+is not a directory, schema violation, bad flag combination), 3 when a
+calibration ran but did not converge.  Any other exception is an
+internal fault and propagates.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .expansion import ModelParams, expansion_terms, survival_approx
 from .market import (
     MarketDataError,
     PricingConfig,
+    _read_key_values,
     load_cds_quotes,
     load_discount_curve,
     load_pricing_config,
@@ -63,24 +65,11 @@ def _require(value, flag: str):
 def _load_params(path: str) -> ModelParams:
     """Model parameters from a flat key=value file (sigma1_hat optional)."""
     kw: dict[str, float] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for ln_no, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise _InputError(f"params {path}:{ln_no}: expected key=value")
-                key, _, val = line.partition("=")
-                key = key.strip().lower()
-                if key not in _PARAM_KEYS and key != "sigma1_hat":
-                    raise _InputError(f"params {path}: unknown key {key!r}")
-                try:
-                    kw[key] = float(val)
-                except ValueError:
-                    raise _InputError(f"params {path}: bad value for {key}") from None
-    except OSError as exc:
-        raise _InputError(f"cannot read params file {path}: {exc.strerror}") from None
+    for key, val in _read_key_values(path, "params", _PARAM_KEYS + ("sigma1_hat",)):
+        try:
+            kw[key] = float(val)
+        except ValueError:
+            raise _InputError(f"params {path}: bad value for {key}") from None
     missing = [k for k in _PARAM_KEYS if k not in kw]
     if missing:
         raise _InputError(f"params {path}: missing keys {', '.join(missing)}")
@@ -215,7 +204,7 @@ def _pipeline_report(args, command: str, with_survival: bool) -> tuple[Calibrati
     if with_survival:
         q_market = bootstrap_survival(quotes, config.recovery, mode="standard")
         leg = result.model.intensity_leg()
-        q_model = survival_approx(leg, np.asarray(quotes.tenors), order=min(config.order, 2))
+        q_model = survival_approx(leg, np.asarray(quotes.tenors), order=config.order)
         rows = tuple(
             (f"{T:g}", f"{mkt:.3f}", fmt_bps(mod), relative_error_pct(1e4 * mod, mkt),
              fmt_prob(qm), fmt_prob(qe))
@@ -298,8 +287,8 @@ def _cmd_survival(args) -> int:
     params = _load_params(_require(args.params, "--params"))
     tenors = _parse_tenors(_require(args.tenors, "--tenors"))
     config = _effective_config(args)
-    order = min(config.order, 2)
-    q = np.atleast_1d(survival_approx(params.intensity_leg(), np.asarray(tenors), order=order))
+    q = np.atleast_1d(survival_approx(params.intensity_leg(), np.asarray(tenors),
+                                      order=config.order))
     rows = tuple((f"{T:g}", fmt_prob(v)) for T, v in zip(tenors, q))
     report = CalibrationReport(
         command="survival",
@@ -310,7 +299,7 @@ def _cmd_survival(args) -> int:
             ("beta2", fmt_param(params.beta2)),
             ("sigma2", fmt_param(params.sigma2)),
             ("lambda0", fmt_param(params.lambda0)),
-            ("order", str(order)),
+            ("order", str(config.order)),
         ),
         config_echo=_config_echo(config, params=args.params),
     )
@@ -450,6 +439,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 2
     except (_InputError, MarketDataError, CalibrationError,
             UnicodeDecodeError) as exc:

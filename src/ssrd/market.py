@@ -10,7 +10,8 @@ File formats are deliberately plain text so fixtures stay diffable:
                    ``# currency=`` / ``# valuation=YYYY-MM-DD`` headers.
                    Missing mid defaults to (bid+ask)/2.
 * config        -- flat ``key=value`` lines (recovery, frequency_months,
-                   roll, day_count, quad_nodes, order, valuation).
+                   roll, day_count, quad_nodes, order, valuation); ``#``
+                   lines are comments.
 """
 
 from __future__ import annotations
@@ -253,19 +254,27 @@ class PricingConfig:
         return replace(self, **kw)
 
 
-def load_pricing_config(path) -> PricingConfig:
+def _read_key_values(path, kind: str, keys) -> list[tuple[str, str]]:
+    """Lower-cased ``(key, value)`` pairs in file order; ``#`` lines are comments."""
+    items = []
     with open(path, "r", encoding="utf-8") as fh:
-        meta, rows = _parse_comment_headers(fh)
+        for ln_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise MarketDataError(f"{kind} {path}:{ln_no}: expected key=value")
+            key, _, val = line.partition("=")
+            key = key.strip().lower()
+            if key not in keys:
+                raise MarketDataError(f"{kind} {path}: unknown key {key!r}")
+            items.append((key, val.strip()))
+    return items
+
+
+def load_pricing_config(path) -> PricingConfig:
     kw: dict = {}
-    items = list(meta.items())
-    for ln_no, line in rows:
-        if "=" not in line:
-            raise MarketDataError(f"config {path}:{ln_no}: expected key=value")
-        key, _, val = line.partition("=")
-        items.append((key.strip().lower(), val.strip()))
-    for key, val in items:
-        if key not in _CONFIG_KEYS:
-            raise MarketDataError(f"config {path}: unknown key {key!r}")
+    for key, val in _read_key_values(path, "config", _CONFIG_KEYS):
         if key == "recovery":
             kw[key] = _parse_float(val, f"{path} recovery")
         elif key in ("frequency_months", "quad_nodes", "order"):

@@ -23,8 +23,11 @@ the panels, no panel straddles a payment date, and doubling the node count
 refines every period in place.  A period longer than the grid's decay
 scale 1/(alpha1 + alpha2) is cut into several equal gaps.
 
-The par spread is the ratio of the two legs.  It is quoted as a decimal
-(multiply by 1e4 for basis points) and is exactly zero at full recovery.
+Each leg is accumulated once over the coupon periods and read at a
+contract's last payment date, so every quote of a strip on one coupon grid
+shares the same sums.  The par spread is the ratio of the two legs.  It is
+quoted as a decimal (multiply by 1e4 for basis points) and is exactly zero
+at full recovery.
 """
 
 from __future__ import annotations
@@ -77,18 +80,16 @@ def _warn_feller(params: ModelParams) -> None:
             )
 
 
-def _leg_pieces(
+def _legs(
     params: ModelParams, schedule: Schedule, config: PricingConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-coupon-period leg contributions, one expansion call for all of them.
+    """Both legs accumulated to every coupon date, one expansion call for all.
 
-    For period i = (t_{i-1}, t_i] returns
-        prot[i] = int h(s) ds                over the period,
-        acc[i]  = int h(s) (s - t_{i-1}) ds,
-        coup[i] = dt_i * v(t_i),
-    so any prefix sum prices the contract truncated at a payment date.  The
-    expansion's grid over the coupon dates gives h at its nodes, its gaps
-    being the panels, and v at the dates; a cut period's gaps sum in order.
+    Entry i prices the contract truncated at payment date t_i: prot[i] =
+    int_0^{t_i} h ds, acc[i] = int_0^{t_i} h(s) (s - t_prev(s)) ds, coup[i] =
+    sum_{j <= i} dt_j v(t_j).  The expansion's grid over the coupon dates
+    gives h at its nodes, its gaps being the panels, and v at the dates; a
+    period's gaps are summed in order, then each leg runs one cumulative sum.
     """
     times = np.asarray(schedule.times, dtype=float)
     accruals = np.asarray(schedule.accruals, dtype=float)
@@ -101,7 +102,16 @@ def _leg_pieces(
     prot = np.add.reduceat(np.sum(kernel, axis=1), first)
     acc = np.add.reduceat(np.sum(kernel * (grid.nodes - start[:, None]), axis=1), first)
     coup = accruals * at_times.v()
-    return prot, acc, coup
+    return np.cumsum(prot), np.cumsum(acc), np.cumsum(coup)
+
+
+def _strip(valuation, tenors, config: PricingConfig) -> tuple[Schedule, list[int]] | None:
+    """Longest schedule and each tenor's prefix length on it; None off one grid."""
+    schedules = [build_schedule(valuation, float(T), config) for T in tenors]
+    longest = max(schedules, key=lambda s: len(s.times))
+    if not all(s.is_prefix_of(longest) for s in schedules):
+        return None
+    return longest, [len(s.times) for s in schedules]
 
 
 def price_cds(params: ModelParams, schedule: Schedule, config: PricingConfig) -> LegValues:
@@ -115,9 +125,9 @@ def price_cds(params: ModelParams, schedule: Schedule, config: PricingConfig) ->
     so the schedule type itself guards those error cases.
     """
     _warn_feller(params)
-    prot, acc, coup = _leg_pieces(params, schedule, config)
-    protection = (1.0 - config.recovery) * float(np.sum(prot))
-    annuity = float(np.sum(acc) + np.sum(coup))
+    prot, acc, coup = _legs(params, schedule, config)
+    protection = (1.0 - config.recovery) * float(prot[-1])
+    annuity = float(acc[-1] + coup[-1])
     return LegValues(protection=protection, annuity=annuity, spread=protection / annuity)
 
 
@@ -130,25 +140,19 @@ def spread_ladder(
     """Par spreads for contracts that are coupon-grid prefixes of ``schedule``.
 
     ``prefix_lengths[k]`` is the number of leading coupon periods in the
-    k-th contract.  One expansion evaluation covers the whole family, and
-    because the grid's gaps (a cut period's too) never straddle a coupon
-    date and its running integrals read only earlier gaps, each prefix sum
-    is bit-identical to pricing that contract on its own schedule.  This is
-    the hot path of the spread calibration loop (one call per objective
-    evaluation instead of one per quote) and deliberately skips the Feller
-    warning: callers exploring the parameter space handle that via their
-    own penalty.
+    k-th contract.  One expansion evaluation covers the whole family, each
+    leg is accumulated once and read at every prefix end.  The grid's gaps
+    never straddle a coupon date and its running integrals read only
+    earlier gaps, so each entry is bit-identical to ``price_cds`` on the
+    prefix schedule.  This is the hot path of the spread calibration loop
+    and deliberately skips the Feller warning: callers exploring the
+    parameter space handle that via their own penalty.
     """
-    ends = np.asarray(prefix_lengths, dtype=int)
-    if ends.size and (ends.min() < 1 or ends.max() > len(schedule.times)):
+    last = np.asarray(prefix_lengths, dtype=int) - 1
+    if last.size and (last.min() < 0 or last.max() >= len(schedule.times)):
         raise ValueError("prefix length outside the coupon grid")
-    prot, acc, coup = _leg_pieces(params, schedule, config)
-    # summed per prefix, not cumulatively, so each entry reproduces a
-    # standalone price_cds on the prefix schedule bit for bit
-    lgd = 1.0 - config.recovery
-    return np.array(
-        [lgd * np.sum(prot[:k]) / (np.sum(acc[:k]) + np.sum(coup[:k])) for k in ends]
-    )
+    prot, acc, coup = _legs(params, schedule, config)
+    return (1.0 - config.recovery) * prot[last] / (acc[last] + coup[last])
 
 
 def spread_curve(
@@ -159,25 +163,19 @@ def spread_curve(
     Schedules are built from ``config`` (valuation date, roll convention,
     day count).  When every schedule is a prefix of the longest one -- the
     normal case for a quote strip on a common roll cycle -- all tenors are
-    priced from one expansion evaluation; otherwise each tenor is priced
-    independently.  Both paths perform the same arithmetic per tenor.
+    priced from one ladder; otherwise each tenor is a ladder of its own.
     """
     tenor_list = [float(T) for T in tenors]
     if not tenor_list:
         return []
     _warn_feller(params)
-    schedules = [build_schedule(config.valuation, T, config) for T in tenor_list]
-    longest = max(schedules, key=lambda s: len(s.times))
-    if all(s.is_prefix_of(longest) for s in schedules):
-        ends = [len(s.times) for s in schedules]
-        spreads = spread_ladder(params, longest, ends, config)
-        return list(zip(tenor_list, (float(r) for r in spreads)))
-    out = []
-    for T, sched in zip(tenor_list, schedules):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            out.append((T, price_cds(params, sched, config).spread))
-    return out
+    strip = _strip(config.valuation, tenor_list, config)
+    if strip is not None:
+        spreads = spread_ladder(params, *strip, config)
+    else:
+        spreads = [spread_ladder(params, *_strip(config.valuation, [T], config), config)[0]
+                   for T in tenor_list]
+    return list(zip(tenor_list, (float(s) for s in spreads)))
 
 
 def uncorrelated_spread(params: ModelParams, schedule: Schedule, config: PricingConfig) -> float:

@@ -97,6 +97,21 @@ def test_ladder_prices_on_the_coupon_grid_itself():
     assert called.isdisjoint({"expansion.expansion_terms", "timeint.panel_nodes"})
 
 
+def test_spread_curve_prices_off_grid_tenors_as_ladders():
+    # 1.25y has a stub period, so it is not a prefix of the 2y grid: each
+    # tenor is a one-quote ladder of its own, with no price_cds path.
+    config = ssrd.PricingConfig(roll="anniversary")
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        ssrd.spread_curve(make_model("mid1"), [1.25, 2.0], config)
+    finally:
+        tracer.uninstall()
+    called = [name for name, *_ in tracer.spans]
+    assert "pricing.price_cds" not in called
+    assert called.count("pricing.spread_ladder") == 2
+
+
 def test_rate_fit_runs_without_the_simplex():
     # Levenberg-Marquardt from five starts on the 7-pillar exact curve: about
     # 900 bond evaluations and no simplex call (five simplex runs made 6,212).

@@ -311,10 +311,26 @@ def test_nonconverged_calibration_exits_three(market_dir, capsys, monkeypatch):
 # --------------------------------------------------------------------------
 
 
-def test_missing_file_names_the_path(capsys):
-    code = run_cli("calibrate-rates", "--curve", "/nonexistent/curve.csv")
-    assert code == 2
-    assert "error: no such file: /nonexistent/curve.csv" in capsys.readouterr().err
+def test_missing_file_names_the_path(market_dir, tmp_path, capsys):
+    # A file that is absent, a directory where a file is read, or a file
+    # where --out wants a directory: one error line naming it, exit 2.
+    (tmp_path / "taken").write_text("")
+    params, taken, here = str(market_dir / "params.txt"), str(tmp_path / "taken"), str(tmp_path)
+    cases = [
+        (("calibrate-rates", "--curve", here), here),
+        (("bootstrap", "--quotes", here), here),
+        (("price", "--params", params, "--tenors", "1", "--config", here), here),
+        (("price", "--params", here, "--tenors", "1"), here),
+        (("survival", "--params", params, "--tenors", "1", "--out", taken), taken),
+        (("calibrate-rates", "--curve", "/nonexistent/curve.csv"),
+         "error: no such file: /nonexistent/curve.csv"),
+    ]
+    for argv, culprit in cases:
+        code = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert culprit in err
 
 
 def test_missing_required_flag(capsys):

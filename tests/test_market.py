@@ -153,19 +153,20 @@ def test_config_defaults():
 
 
 def test_config_file_round_trip(tmp_path):
+    # '#' lines are comments, never settings, whatever they look like
     p = tmp_path / "config.txt"
-    p.write_text(
-        "recovery=0.25\nfrequency_months=3\nroll=anniversary\nday_count=act365\n"
-        "quad_nodes=48\norder=1\nvaluation=2004-03-10\n"
-    )
-    cfg = load_pricing_config(p)
-    assert cfg.recovery == 0.25
-    assert cfg.frequency_months == 3
-    assert cfg.roll == "anniversary"
-    assert cfg.day_count == "act365"
-    assert cfg.quad_nodes == 48
-    assert cfg.order == 1
-    assert cfg.valuation == dt.date(2004, 3, 10)
+    body = ("recovery=0.25\nfrequency_months=3\nroll=anniversary\nday_count=act365\n"
+            "quad_nodes=48\norder=1\nvaluation=2004-03-10\n")
+    for comments in ("", "# order=0\n# tuned so x=1\n"):
+        p.write_text(comments + body)
+        cfg = load_pricing_config(p)
+        assert cfg.recovery == 0.25
+        assert cfg.frequency_months == 3
+        assert cfg.roll == "anniversary"
+        assert cfg.day_count == "act365"
+        assert cfg.quad_nodes == 48
+        assert cfg.order == 1
+        assert cfg.valuation == dt.date(2004, 3, 10)
 
 
 def test_config_rejects_full_recovery_with_explicit_message():
