@@ -561,13 +561,18 @@ def bootstrap_survival(
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything the three steps produce, plus a final repriced curve."""
+    """Everything the three steps produce, plus a final repriced curve.
+
+    ``timings`` holds the seconds each stage took, in order: ``rates``,
+    ``vol``, ``credit`` and ``reprice``.
+    """
 
     rates: CalibrationResult
     vol: MatchedVolatility
     credit: CalibrationResult
     model: ModelParams
     repriced: tuple[tuple[float, float], ...]
+    timings: tuple[tuple[str, float], ...]
 
 
 def run_pipeline(
@@ -583,7 +588,9 @@ def run_pipeline(
     """Run all three calibration steps and reprice the quote tenors."""
     rates = calibrate_rates(curve, rate_initial)
     rate = CirParams(float(rates.x[0]), float(rates.x[1]), float(rates.x[2]), curve.short_rate)
+    t_vol = time.perf_counter()
     vol = match_volatility(rate, rate.x0, float(max(quotes.tenors)))
+    vol_elapsed = time.perf_counter() - t_vol
     credit = calibrate_cds(
         quotes,
         rate,
@@ -595,7 +602,11 @@ def run_pipeline(
     )
     xi = np.append(credit.x, 0.0) if not correlated else credit.x
     model = assemble_model(rate, vol.sigma1_hat, xi, correlated)
+    t_reprice = time.perf_counter()
     union, ends = _quote_schedules(quotes, config)
     spreads = spread_ladder(model, union, ends, config)
     repriced = tuple((float(T), float(s)) for T, s in zip(quotes.tenors, spreads))
-    return PipelineResult(rates=rates, vol=vol, credit=credit, model=model, repriced=repriced)
+    timings = (("rates", rates.elapsed), ("vol", vol_elapsed), ("credit", credit.elapsed),
+               ("reprice", time.perf_counter() - t_reprice))
+    return PipelineResult(rates=rates, vol=vol, credit=credit, model=model, repriced=repriced,
+                          timings=timings)

@@ -242,10 +242,7 @@ def _pipeline_report(args, command: str, with_survival: bool) -> tuple[Calibrati
             ("converged", str(result.rates.converged and result.credit.converged).lower()),
             ("max_abs_error_bps", f"{worst:.3f}"),
         ),
-        timings=(
-            ("rates", _timing(result.rates.elapsed)),
-            ("credit", _timing(result.credit.elapsed)),
-        ),
+        timings=tuple((stage, _timing(seconds)) for stage, seconds in result.timings),
         config_echo=_config_echo(
             config, weights=args.weights, correlated=correlated,
             curve=args.curve, quotes=args.quotes,

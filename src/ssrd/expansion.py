@@ -33,6 +33,11 @@ integral, up to each maturity or grid node, on one Gauss-Legendre grid over
 [0, sorted maturities]; no quadrature is nested in another, and v2 is a
 running integral of running integrals.
 
+v0, the mean paths and the variances are all built from each leg's closed
+forms psi(-a, 0, t), e^{-a t} and theta(-a, a, 0, t).  These are evaluated
+once per call, for both legs on the grid nodes and the maturities together,
+and theta is read off psi; every term above reuses the same arrays.
+
 These match the exact transforms through O(sigma^2) and O(rho sigma^2)
 inclusive: the zero-correlation limit reproduces the per-leg bond convexity
 exactly, and the c12 terms reproduce the integrated rate/intensity covariance.
@@ -140,61 +145,81 @@ class ModelParams:
 # Proxy moments
 # --------------------------------------------------------------------------
 
-def _cir_mean(alpha, beta, x0, s):
-    # E[X_s] of a square-root leg started at x0
-    return x0 * np.exp(-alpha * s) + alpha * beta * psi(-alpha, 0.0, s)
+def _psi_theta(a, t):
+    """psi(-a, 0, t) and theta(-a, a, 0, t) of square-root legs with speeds a
+    (a scalar, or a column with one row per leg), psi evaluated once.
 
-
-def _cir_variance(alpha, beta, sigma, x0, s):
-    # Var[X_s] of a square-root leg started at x0; every factor decays in s
-    w = psi(-alpha, 0.0, s)
-    return sigma * sigma * w * (x0 * np.exp(-alpha * s) + 0.5 * alpha * beta * w)
+    theta is (t - psi) / a, which is what ``timeint.theta`` computes on its
+    direct branch: E(0, t) = t and E(-a, t) = psi there.  Where |a t| < 1e-5,
+    its switch to a series, ``theta`` itself is called on those points.
+    """
+    w = psi(-a, 0.0, t)
+    th = (t - w) / a
+    small = np.abs(a * t) < 1e-5
+    if small.any():
+        a_small = np.broadcast_to(a, small.shape)[small]
+        th[small] = theta(-a_small, a_small, 0.0, np.broadcast_to(t, small.shape)[small])
+    return w, th
 
 
 class _ProxyMoments:
-    """Mean-path anchors and proxy (co)variances of (r, lam) from the time-zero state.
+    """Both legs' closed forms on a running grid and at the maturities, and
+    the mean paths and proxy (co)variances of (r, lam) built on them.
 
-    The variances are the exact per-leg ones; the covariance c12 freezes
-    sqrt(rbar lbar) along the mean path and is the only one that needs the
-    quadrature grid.
+    psi(-a, 0, t), e^{-a t} and theta(-a, a, 0, t) are evaluated once, one
+    array op each for both legs and all times: row 0 is the rate, row 1 the
+    intensity; the columns are the grid's nodes, flattened, then the
+    maturities.  The variances are the exact per-leg ones; the covariance
+    c12 freezes sqrt(rbar lbar) along the mean path and is the only one that
+    needs the grid.
     """
 
-    def __init__(self, params: ModelParams):
-        self.p = params
-        self.r_frac = max(params.r0, ANCHOR_FLOOR)
-        self.lam_frac = max(params.lambda0, ANCHOR_FLOOR)
-        if params.rho_hat != 0.0 and min(params.r0, params.lambda0) < ANCHOR_FLOOR:
-            warnings.warn(
-                "state anchor below %.0e with non-zero correlation; fractional "
-                "powers of the mean path are floored" % ANCHOR_FLOOR,
-                RuntimeWarning,
-                stacklevel=3,
-            )
+    def __init__(self, params: ModelParams, grid: _RunningGrid, T: np.ndarray):
+        p = params
+        self.p, self.grid = p, grid
+        self.alpha = np.array([[p.alpha1], [p.alpha2]])
+        self.beta = np.array([[p.beta1], [p.beta2]])
+        self.x0 = np.array([[p.r0], [p.lambda0]])
+        t = np.concatenate((grid.nodes.ravel(), T.ravel()))
+        self.psi, self.theta = _psi_theta(self.alpha, t)
+        self.decay = np.exp(-self.alpha * t)
 
-    # floored mean paths of (r, lam); positive for every s >= 0
-    def rbar_frac(self, s):
-        return _cir_mean(self.p.alpha1, self.p.beta1, self.r_frac, s)
+    def node_part(self, f):
+        """The node columns of f, in the grid's shape."""
+        nodes = self.grid.nodes
+        return f[..., :nodes.size].reshape(f.shape[:-1] + nodes.shape)
 
-    def lbar_frac(self, s):
-        return _cir_mean(self.p.alpha2, self.p.beta2, self.lam_frac, s)
+    def mean(self, x0):
+        """E[X_t] of each leg started at x0 (a column, one row per leg)."""
+        return x0 * self.decay + self.alpha * self.beta * self.psi
 
-    # proxy variances, closed form
-    def c11(self, s):
-        p = self.p
-        return _cir_variance(p.alpha1, p.beta1, p.sigma1_active, p.r0, s)
+    def variance(self):
+        """Var[X_t] of each leg from the time-zero state: c11 and c22.
+        Every factor decays in t."""
+        p, w = self.p, self.psi
+        sigma = np.array([[p.sigma1_active], [p.sigma2]])
+        return sigma * sigma * w * (self.x0 * self.decay + 0.5 * self.alpha * self.beta * w)
 
-    def c22(self, s):
-        p = self.p
-        return _cir_variance(p.alpha2, p.beta2, p.sigma2, p.lambda0, s)
-
-    def c12(self, grid: _RunningGrid):
+    def c12(self):
         """Proxy covariance rho_hat * int_0^u e^{-(a1+a2)(u-v)} sqrt(rbar lbar)(v) dv
-        at every grid node u."""
-        u = grid.nodes
-        if self.p.rho_hat == 0.0:
-            return np.zeros(u.shape)
-        root = np.sqrt(self.rbar_frac(u) * self.lbar_frac(u))
-        return self.p.rho_hat * grid.decayed(root, self.p.alpha1 + self.p.alpha2)[0]
+        at every grid node u, the mean paths started from the floored state."""
+        p = self.p
+        if p.rho_hat == 0.0:
+            return np.zeros(self.grid.nodes.shape)
+        rbar, lbar = self.node_part(self.mean(np.maximum(self.x0, ANCHOR_FLOOR)))
+        return p.rho_hat * self.grid.decayed(np.sqrt(rbar * lbar), p.alpha1 + p.alpha2)[0]
+
+
+def _warn_anchor(params: ModelParams, order: int) -> None:
+    # Raised by the public entry points only, like the Feller warning:
+    # spread_ladder serves the calibration's trial points and stays silent.
+    if order >= 1 and params.rho_hat != 0.0 and min(params.r0, params.lambda0) < ANCHOR_FLOOR:
+        warnings.warn(
+            "state anchor below %.0e with non-zero correlation; fractional "
+            "powers of the mean path are floored" % ANCHOR_FLOOR,
+            RuntimeWarning,
+            stacklevel=3,
+        )
 
 
 # --------------------------------------------------------------------------
@@ -230,29 +255,31 @@ def _expand(params: ModelParams, T: np.ndarray, order: int, n_nodes: int):
     """The expansion on one running grid over [0, sorted T].
 
     Returns the grid and the terms at its nodes and at T, as ExpansionTerms.
-    The kernels D1 and D2 of the module docstring are carried from gap to gap
-    by ``_RunningGrid.decayed``; i_h1 = -D2 and i_v2 = int_0^T (D1 + D2), half
-    the variance of the accumulated discount under the proxy, each covariance
-    increment weighted by its remaining exposure window.  No term of these
-    running integrals is negative for covariances >= 0, so nothing cancels.
+    Each leg's closed forms are evaluated once, by ``_ProxyMoments``, and
+    v0, the mean intensity, the floored mean paths under c12 and the
+    variances c11 and c22 all read them.  The kernels D1 and D2 of the
+    module docstring are carried from gap to gap by
+    ``_RunningGrid.decayed``; i_h1 = -D2 and i_v2 = int_0^T (D1 + D2), half
+    the variance of the accumulated discount under the proxy, each
+    covariance increment weighted by its remaining exposure window.  No term
+    of these running integrals is negative for covariances >= 0, so nothing
+    cancels.
     """
     p = params
     # Gaps are cut to at most 1/(a1+a2), the fastest decay among the kernels.
     grid = _RunningGrid(T, n_nodes, p.alpha1 + p.alpha2)
     s = grid.nodes
-    # closed forms once, on the nodes and the maturities together
-    t = np.concatenate((s.ravel(), T.ravel()))
-    v0 = np.exp(-p.r0 * psi(-p.alpha1, 0.0, t)
-                - p.alpha1 * p.beta1 * theta(-p.alpha1, p.alpha1, 0.0, t)
-                - p.lambda0 * psi(-p.alpha2, 0.0, t)
-                - p.alpha2 * p.beta2 * theta(-p.alpha2, p.alpha2, 0.0, t))
-    mean_lam = _cir_mean(p.alpha2, p.beta2, p.lambda0, t)
+    mom = _ProxyMoments(p, grid, T)
+    w, th = mom.psi, mom.theta
+    v0 = np.exp(-p.r0 * w[0] - p.alpha1 * p.beta1 * th[0]
+                - p.lambda0 * w[1] - p.alpha2 * p.beta2 * th[1])
+    mean_lam = mom.mean(mom.x0)[1]
     v_list = [v0]
     h_list = [v0 * mean_lam]
     if order >= 1:
-        mom = _ProxyMoments(p)
-        c12 = mom.c12(grid)
-        d2, d2_at_T = grid.decayed(c12 + mom.c22(s), p.alpha2)
+        c11, c22 = mom.node_part(mom.variance())
+        c12 = mom.c12()
+        d2, d2_at_T = grid.decayed(c12 + c22, p.alpha2)
         # The payoff-1 transform has no first-order term: the correction
         # operator is linear in the centered state, whose proxy mean is zero
         # at the anchor.  The terminal-intensity payoff leaves the
@@ -260,7 +287,7 @@ def _expand(params: ModelParams, T: np.ndarray, order: int, n_nodes: int):
         v_list.append(np.zeros_like(v0))
         h_list.append(-np.concatenate((d2.ravel(), d2_at_T.ravel())) * v0)
     if order >= 2:
-        d = grid.decayed(mom.c11(s) + c12, p.alpha1)[0] + d2
+        d = grid.decayed(c11 + c12, p.alpha1)[0] + d2
         v2 = np.concatenate((grid.at_nodes(d).ravel(), grid.at_points(d).ravel())) * v0
         v_list.append(v2)
         h_list.append(mean_lam * v2)
@@ -292,6 +319,7 @@ def expansion_terms(params: ModelParams, maturities, *, order: int = 2,
         raise ValueError("expansion order must be 0, 1 or 2")
     if quad_nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
+    _warn_anchor(params, order)
     return _expand(params, _maturities(maturities), order, quad_nodes)[2]
 
 
@@ -348,8 +376,8 @@ def proxy_bond_expansion(alpha: float, beta: float, state: float, maturities):
     b2, b2_tau = grid.decayed(-b0 * b1, alpha)
     int_b1, int_b2 = grid.at_points(np.stack((b1, b2)))
 
-    p0 = np.exp(-y * np.asarray(psi(-alpha, 0.0, tau))
-                - alpha * beta * np.asarray(theta(-alpha, alpha, 0.0, tau)))
+    w, th = _psi_theta(alpha, tau)
+    p0 = np.exp(-y * w - alpha * beta * th)
     l1 = -y * b1_tau - alpha * beta * int_b1
     l2 = -y * b2_tau - alpha * beta * int_b2
     lin = l1

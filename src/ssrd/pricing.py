@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cir import CirParams, cir_bond, cir_bond_dT
-from .expansion import ModelParams, _expand
+from .expansion import ModelParams, _expand, _warn_anchor
 from .market import PricingConfig, Schedule, build_schedule
 from .timeint import panel_nodes
 
@@ -119,12 +119,14 @@ def price_cds(params: ModelParams, schedule: Schedule, config: PricingConfig) ->
 
     The expansion order and nodes-per-panel come from ``config``; when the
     params carry a matched rate volatility it is used automatically by the
-    expansion engine.  A Feller violation on either factor gets a warning,
-    not an error -- the expansion stays well defined, only its accuracy
-    claim weakens.  Empty or nonpositive schedules cannot be constructed,
-    so the schedule type itself guards those error cases.
+    expansion engine.  A Feller violation on either factor, or a state
+    anchor floored under correlation, gets a warning, not an error -- the
+    expansion stays well defined, only its accuracy claim weakens.  Empty
+    or nonpositive schedules cannot be constructed, so the schedule type
+    itself guards those error cases.
     """
     _warn_feller(params)
+    _warn_anchor(params, config.order)
     prot, acc, coup = _legs(params, schedule, config)
     protection = (1.0 - config.recovery) * float(prot[-1])
     annuity = float(acc[-1] + coup[-1])
@@ -145,8 +147,9 @@ def spread_ladder(
     never straddle a coupon date and its running integrals read only
     earlier gaps, so each entry is bit-identical to ``price_cds`` on the
     prefix schedule.  This is the hot path of the spread calibration loop
-    and deliberately skips the Feller warning: callers exploring the
-    parameter space handle that via their own penalty.
+    and deliberately skips the Feller and state-anchor warnings: callers
+    exploring the parameter space meet both at trial points, and handle
+    Feller via their own penalty.
     """
     last = np.asarray(prefix_lengths, dtype=int) - 1
     if last.size and (last.min() < 0 or last.max() >= len(schedule.times)):
@@ -169,6 +172,7 @@ def spread_curve(
     if not tenor_list:
         return []
     _warn_feller(params)
+    _warn_anchor(params, config.order)
     strip = _strip(config.valuation, tenor_list, config)
     if strip is not None:
         spreads = spread_ladder(params, *strip, config)

@@ -126,3 +126,21 @@ def test_rate_fit_runs_without_the_simplex():
     called = [name for name, *_ in tracer.spans]
     assert "simplex.nelder_mead" not in called
     assert 0 < called.count("cir.cir_bond") <= 1_500
+
+
+def test_ladder_evaluates_each_closed_form_once():
+    # A correlated order-1 ladder, the credit fit's inner loop: psi(-a, 0, t)
+    # for both legs at every node and date in one call, theta read off it
+    # (six psi and two theta calls when each moment took its own).
+    config = ssrd.PricingConfig(roll="anniversary", order=1, quad_nodes=8)
+    schedule = ssrd.build_schedule(None, max(MARKET_STRIP_TENORS), config)
+    ends = [len(ssrd.build_schedule(None, t, config).times) for t in MARKET_STRIP_TENORS]
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        ssrd.pricing.spread_ladder(make_model("mid2", rho=0.5), schedule, ends, config)
+    finally:
+        tracer.uninstall()
+    called = [name for name, *_ in tracer.spans]
+    assert called.count("timeint.psi") == 1
+    assert "timeint.theta" not in called

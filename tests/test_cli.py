@@ -228,7 +228,7 @@ def test_calibrate_cds_end_to_end(market_dir, tmp_path, capsys):
     assert obj["params"]["rho"] == "0"
     assert obj["config"]["weights"] == "uniform"
     assert obj["config"]["correlated"] == "False"
-    assert set(obj["timings"]) == {"rates", "credit"}
+    assert list(obj["timings"]) == ["rates", "vol", "credit", "reprice"]
     header = ("tenor", "market_bps", "model_bps", "rel_error_pct")
     assert (out / "calibrate-cds.csv").read_text().splitlines()[0] == ",".join(header)
 

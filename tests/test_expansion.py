@@ -34,7 +34,7 @@ from ssrd.expansion import (
     survival_approx,
     v_expansion,
 )
-from ssrd.timeint import _RunningGrid
+from ssrd.timeint import _RunningGrid, psi, theta
 
 MATURITIES = np.array([0.5, 1.0, 2.0, 3.0, 5.0])
 
@@ -225,6 +225,40 @@ def test_terms_at_the_grid_nodes_match_a_grid_laid_over_them(rho, overrides, nod
     np.testing.assert_allclose(at_nodes.h(), ref.h(), rtol=rtol, atol=0.0)
 
 
+@pytest.mark.parametrize("alpha2", [1e-9, 2e-5, 8.0], ids=["all-series", "both-sides", "cut-gaps"])
+def test_order_zero_terms_equal_the_closed_forms(alpha2):
+    # The engine evaluates psi once per leg and reads theta off it; order 0
+    # must equal the deterministic transform written with timeint's own
+    # psi and theta, to the bit.  At alpha2 = 2e-5 the early nodes sit below
+    # theta's 1e-5 series switch in alpha2 t and the late ones above it; at
+    # alpha2 = 8 every semiannual period is cut into several gaps.
+    model = make_model("mid2", alpha2=alpha2, rho=0.5)
+    T = 0.5 * np.arange(1, 13)
+    grid, at_nodes, at_T = _expand(model, T, 0, 8)
+    t = np.concatenate((grid.nodes.ravel(), T))
+    a1, a2 = model.alpha1, model.alpha2
+    v0 = np.exp(-model.r0 * psi(-a1, 0.0, t) - a1 * model.beta1 * theta(-a1, a1, 0.0, t)
+                - model.lambda0 * psi(-a2, 0.0, t) - a2 * model.beta2 * theta(-a2, a2, 0.0, t))
+    mean_lam = model.lambda0 * np.exp(-a2 * t) + a2 * model.beta2 * psi(-a2, 0.0, t)
+    if alpha2 == 2e-5:
+        assert np.any(a2 * t < 1e-5) and np.any(a2 * t > 1e-5)
+    got_v = np.concatenate((at_nodes.v().ravel(), at_T.v()))
+    got_h = np.concatenate((at_nodes.h().ravel(), at_T.h()))
+    assert np.array_equal(got_v, v0)
+    assert np.array_equal(got_h, v0 * mean_lam)
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 2e-5, 0.2, 30.0])
+def test_survival_order_zero_equals_the_closed_form(alpha):
+    # p0 reads theta off its own psi; at alpha = 2e-5 the maturities sit on
+    # both sides of theta's series switch.
+    leg = CirParams(alpha, 0.05, 0.1, 0.01)
+    T = np.array([0.0, 0.1, 0.4, 1.0, 5.0, 30.0])
+    oracle = np.exp(-leg.x0 * psi(-alpha, 0.0, T) - alpha * leg.beta * theta(-alpha, alpha, 0.0, T))
+    assert np.array_equal(survival_approx(leg, T, order=0), oracle)
+    assert np.array_equal(proxy_bond_expansion(alpha, leg.beta, leg.x0, T)[0], oracle)
+
+
 # --------------------------------------------------------------------------
 # One-leg sigma^2 Taylor expansion
 # --------------------------------------------------------------------------
@@ -318,12 +352,18 @@ def _grid(model, points, nodes=32):
     return _RunningGrid(points, nodes, model.alpha1 + model.alpha2)
 
 
+def _moments(model, points, nodes=32):
+    T = np.atleast_1d(np.asarray(points, dtype=float))
+    grid = _grid(model, T, nodes)
+    return grid, _ProxyMoments(model, grid, T)
+
+
 def test_kernel_empty_interval_is_zero():
     model = make_model("mid2")
-    mom = _ProxyMoments(model)
-    assert mom.c12(_grid(model, 0.0)).size == 0  # no gap, no node
-    grid = _grid(model, [0.0, 1.0])
-    g = np.sqrt(mom.rbar_frac(grid.nodes) * mom.lbar_frac(grid.nodes))
+    assert _moments(model, 0.0)[1].c12().size == 0  # no gap, no node
+    grid, mom = _moments(model, [0.0, 1.0])
+    rbar, lbar = mom.node_part(mom.mean(mom.x0))
+    g = np.sqrt(rbar * lbar)
     assert grid.at_points(g)[0] == 0.0
     assert grid.decayed(g, model.alpha1 + model.alpha2)[1][0] == 0.0
 
@@ -342,10 +382,9 @@ def test_kernel_mean_path_weight_matches_adaptive_quadrature():
 
     oracle, _ = quad(lambda u: np.exp(-rate * (3.0 - u)) * rbar(u) * np.sqrt(lbar(u)), 0.0, 3.0,
                      epsabs=1e-15, epsrel=1e-13)
-    mom = _ProxyMoments(model)
-    grid = _grid(model, 3.0)
-    u = grid.nodes
-    got = grid.decayed(mom.rbar_frac(u) * mom.lbar_frac(u) ** 0.5, rate)[1]
+    grid, mom = _moments(model, 3.0)
+    rbar, lbar = mom.node_part(mom.mean(mom.x0))
+    got = grid.decayed(rbar * lbar ** 0.5, rate)[1]
     assert got == pytest.approx(oracle, rel=1e-10)
 
 
@@ -363,16 +402,15 @@ def test_kernel_cross_covariance_family_matches_dense_trapezoid():
     root = np.sqrt(rbar * lbar)
     c12 = model.rho_hat * cumulative_trapezoid(growth * root, u, initial=0.0) / growth
     oracle = np.trapezoid(np.exp(-model.alpha2 * (1.0 - u)) * c12, u)
-    mom = _ProxyMoments(model)
-    grid = _grid(model, 1.0)
-    got = grid.decayed(mom.c12(grid), model.alpha2)[1]
+    grid, mom = _moments(model, 1.0)
+    got = grid.decayed(mom.c12(), model.alpha2)[1]
     assert got == pytest.approx(oracle, rel=1e-8)
 
 
 def test_kernel_cross_family_vanishes_without_correlation():
     model = make_model("mid2", rho=0.0)
-    grid = _grid(model, np.linspace(0.0, 2.0, 9))
-    assert np.array_equal(_ProxyMoments(model).c12(grid), np.zeros_like(grid.nodes))
+    grid, mom = _moments(model, np.linspace(0.0, 2.0, 9))
+    assert np.array_equal(mom.c12(), np.zeros_like(grid.nodes))
 
 
 # --------------------------------------------------------------------------
@@ -385,10 +423,8 @@ def test_proxy_covariance_psd_at_correlation_bounds():
     # c12^2 <= c11 c22 pointwise (Cauchy-Schwarz along the mean path).
     for rho in (-1.0, 1.0):
         model = make_model("mid2", rho=rho)
-        mom = _ProxyMoments(model)
-        grid = _grid(model, np.linspace(0.05, 5.0, 40), nodes=64)
-        s = grid.nodes
-        c11, c22, c12 = mom.c11(s), mom.c22(s), mom.c12(grid)
+        _, mom = _moments(model, np.linspace(0.05, 5.0, 40), nodes=64)
+        (c11, c22), c12 = mom.node_part(mom.variance()), mom.c12()
         assert np.all(c11 > 0) and np.all(c22 > 0)
         assert np.all(c12**2 <= c11 * c22 * (1.0 + 1e-10))
 
@@ -396,10 +432,10 @@ def test_proxy_covariance_psd_at_correlation_bounds():
 def test_proxy_variances_match_small_time_growth():
     # Leading order c11(s) ~ sigma^2 x0 s for small s.
     model = make_model("mid1")
-    mom = _ProxyMoments(model)
     s = 1e-4
-    assert mom.c11(s) == pytest.approx(model.sigma1**2 * model.r0 * s, rel=1e-3)
-    assert mom.c22(s) == pytest.approx(model.sigma2**2 * model.lambda0 * s, rel=1e-3)
+    c11, c22 = _moments(model, s)[1].variance()[:, -1]
+    assert c11 == pytest.approx(model.sigma1**2 * model.r0 * s, rel=1e-3)
+    assert c22 == pytest.approx(model.sigma2**2 * model.lambda0 * s, rel=1e-3)
 
 
 # --------------------------------------------------------------------------

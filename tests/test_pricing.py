@@ -224,3 +224,15 @@ def test_ladder_skips_feller_warning_for_optimizer_path():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spread_ladder(bad, _schedule(2.0), [4], CFG)
+
+
+def test_ladder_skips_anchor_warning_for_optimizer_path():
+    # A trial point of the credit fit can drive lambda0 below the anchor
+    # floor; the ladder it prices through stays silent, the public curve
+    # still warns.
+    tiny = make_model("mid2", lambda0=1e-12, rho=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spread_ladder(tiny, _schedule(2.0), [2, 4], CFG)
+    with pytest.warns(RuntimeWarning, match="state anchor below"):
+        spread_curve(tiny, [1.0, 2.0], CFG)
