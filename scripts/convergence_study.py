@@ -16,7 +16,7 @@ import numpy as np
 
 from run_synthetic_pipeline import CREDIT_SETS, RATE
 from ssrd.cir import cir_bond
-from ssrd.expansion import ModelParams, expansion_terms, v_expansion
+from ssrd.expansion import ModelParams, expansion_terms
 from ssrd.mc import McConfig, mc_estimate
 
 
@@ -26,7 +26,8 @@ def exact_study(model, maturities, orders):
     )
     header = f"{'T':>8}" + "".join(f"{f'|err| ord {n}':>14}" for n in orders)
     print(header)
-    errs = {n: np.abs(v_expansion(model, maturities, order=n) - exact) for n in orders}
+    terms = expansion_terms(model, maturities, order=max(orders))
+    errs = {n: np.abs(terms.v(n) - exact) for n in orders}
     for i, T in enumerate(maturities):
         print(f"{T:>8.4f}" + "".join(f"{errs[n][i]:>14.3e}" for n in orders))
     print()
@@ -42,18 +43,14 @@ def mc_study(model, maturities, orders, paths, step, seed):
     cfg = McConfig(n_paths=paths, step=step, seed=seed, antithetic=False)
     print(f"{'T':>8}{'target':>8}{'mc':>14}{'se':>12}"
           + "".join(f"{f'gap/se ord {n}':>15}" for n in orders))
-    for T in maturities:
+    terms = expansion_terms(model, maturities, order=max(orders))
+    for i, T in enumerate(maturities):
         estimates = mc_estimate(model, float(T), config=cfg)
-        terms = {n: expansion_terms(model, float(T), order=n) for n in orders}
-        for target in ("v", "h"):
+        for target, approx in (("v", terms.v), ("h", terms.h)):
             est, se = estimates[target]
             row = f"{T:>8.4f}{target:>8}{est:>14.8f}{se:>12.2e}"
             for n in orders:
-                if target == "v":
-                    approx = float(terms[n].v()[0])
-                else:
-                    approx = float(terms[n].h()[0])
-                row += f"{(approx - est) / se:>15.2f}"
+                row += f"{(float(approx(n)[i]) - est) / se:>15.2f}"
             print(row)
 
 

@@ -6,7 +6,6 @@ from .calibrate import (
     CalibrationError,
     MatchedVolatility,
     PipelineResult,
-    WeightVector,
     bootstrap_survival,
     calibrate_cds,
     calibrate_rates,
@@ -57,7 +56,6 @@ __all__ = [
     "PricingConfig",
     "Schedule",
     "Transform",
-    "WeightVector",
     "bootstrap_survival",
     "build_schedule",
     "calibrate_cds",

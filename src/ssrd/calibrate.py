@@ -20,9 +20,10 @@ by a soft penalty 10^6 * max(0, sigma^2 - 2 alpha beta)^2 added to the
 objective (never to the reported fit quality, which is always the bare
 weighted sum of squared quote residuals).
 
-Spread residuals are kept in decimal units throughout; weights are
+Spread residuals are kept in decimal units throughout.  Quote weights
+are chosen by scheme name (``uniform``, ``bidask``, ``invtenor``) and
 normalized to sum to one, so objective values are comparable across
-weighting schemes.
+schemes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cir import CirParams, cir_bond
+from .cir import CirParams, cir_bond, feller_margin
 from .expansion import ModelParams, proxy_bond_expansion
 from .market import CdsQuoteSet, DiscountCurve, PricingConfig
 from .pricing import _strip, spread_ladder
@@ -45,13 +46,11 @@ __all__ = [
     "CalibrationError",
     "MatchedVolatility",
     "PipelineResult",
-    "WeightVector",
     "assemble_model",
     "bootstrap_survival",
     "calibrate_cds",
     "calibrate_rates",
     "compute_weights",
-    "feller_penalty",
     "match_volatility",
     "run_pipeline",
 ]
@@ -69,46 +68,31 @@ class BootstrapAnomalyWarning(UserWarning):
     """The as-printed bootstrap recursion produced a rising survival curve."""
 
 
-def feller_penalty(alpha: float, beta: float, sigma: float) -> float:
+def _feller_penalty(alpha: float, beta: float, sigma: float) -> float:
     """Soft barrier keeping fits away from an attainable zero boundary."""
-    return 1e6 * max(0.0, sigma * sigma - 2.0 * alpha * beta) ** 2
+    return 1e6 * max(0.0, -feller_margin(alpha, beta, sigma)) ** 2
 
 
 # --------------------------------------------------------------------------
 # Quote weights
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Normalized nonnegative weights, one per quote."""
-
-    weights: tuple[float, ...]
-    scheme: str = "uniform"
-
-    def __post_init__(self):
-        if not self.weights:
-            raise CalibrationError("weight vector is empty")
-        if any(w < 0.0 or not math.isfinite(w) for w in self.weights):
-            raise CalibrationError("weights must be finite and nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise CalibrationError("weights must sum to 1")
-
-
-def compute_weights(scheme: str, quotes: CdsQuoteSet) -> WeightVector:
-    """Quote weights: uniform, liquidity (inverse bid-ask width), or 1/tenor."""
+def compute_weights(scheme: str, quotes: CdsQuoteSet) -> tuple[float, ...]:
+    """Quote weights summing to one: uniform, liquidity (inverse bid-ask
+    width), or 1/tenor."""
     if scheme not in WEIGHT_SCHEMES:
         raise CalibrationError(f"unknown weight scheme {scheme!r}; choose from {WEIGHT_SCHEMES}")
     if scheme == "uniform":
         raw = [1.0] * len(quotes.tenors)
     elif scheme == "bidask":
-        widths = [a - b for a, b in zip(quotes.bid_bps, quotes.ask_bps)]
+        widths = [ask - bid for bid, ask in zip(quotes.bid_bps, quotes.ask_bps)]
         if any(w == 0.0 for w in widths):
             raise CalibrationError("bid-ask weights need bid != ask on every quote")
-        raw = [1.0 / abs(w) for w in widths]
+        raw = [1.0 / w for w in widths]
     else:
         raw = [1.0 / t for t in quotes.tenors]
     total = sum(raw)
-    return WeightVector(weights=tuple(w / total for w in raw), scheme=scheme)
+    return tuple(w / total for w in raw)
 
 
 # --------------------------------------------------------------------------
@@ -261,16 +245,11 @@ def _levenberg_marquardt(
     )
 
 
-def calibrate_rates(
-    curve: DiscountCurve,
-    initial: np.ndarray | None = None,
-    *,
-    max_iter: int = 4000,
-) -> CalibrationResult:
+def calibrate_rates(curve: DiscountCurve, *, max_iter: int = 4000) -> CalibrationResult:
     """Fit (alpha1, beta1, sigma1) to discount pillars, r0 held at the observed value.
 
-    Levenberg-Marquardt from five deterministic starting points (plus
-    ``initial`` when given) on the unweighted discount-factor residuals;
+    Levenberg-Marquardt from five deterministic starting points, anchored
+    at the long-end zero rate, on the unweighted discount-factor residuals;
     the Feller penalty enters as one more, one-sided residual 1e3 *
     (sigma^2 - 2 alpha beta), counted only when positive, so the sum of
     squares is the penalized objective.  The
@@ -296,17 +275,14 @@ def calibrate_rates(
     def residuals(p: np.ndarray) -> np.ndarray:
         alpha, beta, sigma = p
         model = cir_bond(CirParams(alpha, beta, sigma, r0), 0.0, tenors)
-        return np.append(model - dfs, 1e3 * (sigma * sigma - 2.0 * alpha * beta))
+        return np.append(model - dfs, -1e3 * feller_margin(alpha, beta, sigma))
 
     t_start = time.perf_counter()
-    starts = _rate_starts(tenors, dfs)
-    if initial is not None:
-        starts.insert(0, np.asarray(initial, dtype=float))
     transform = Transform(("positive", "positive", "positive"))
     best: CalibrationResult | None = None
     failures: list[str] = []
     n_eval = iterations = 0
-    for s in starts:
+    for s in _rate_starts(tenors, dfs):
         try:
             res = _levenberg_marquardt(residuals, s, transform, max_iter)
         except ValueError as exc:
@@ -443,7 +419,7 @@ def calibrate_cds(
     sigma1_hat: float,
     config: PricingConfig,
     *,
-    weights: str | WeightVector = "bidask",
+    weights: str = "bidask",
     correlated: bool = True,
     initial: np.ndarray | None = None,
     max_iter: int = 4000,
@@ -453,12 +429,11 @@ def calibrate_cds(
     The search prices with the first-order expansion (one ladder evaluation
     per objective call); the returned objective and residuals are re-priced
     at the order in ``config`` (second by default), so the reported fit is
-    what a final repricing would see.  ``correlated=False`` pins rho = 0
-    and fits four parameters.
+    what a final repricing would see.  ``weights`` names the scheme of
+    :func:`compute_weights`.  ``correlated=False`` pins rho = 0 and fits
+    four parameters.
     """
-    w = compute_weights(weights, quotes) if isinstance(weights, str) else weights
-    if len(w.weights) != len(quotes.tenors):
-        raise CalibrationError("one weight per quote required")
+    weight_arr = np.array(compute_weights(weights, quotes))
     n_free = 5 if correlated else 4
     if len(quotes.tenors) < n_free:
         warnings.warn(
@@ -470,9 +445,8 @@ def calibrate_cds(
 
     union, ends = _quote_schedules(quotes, config)
     targets = np.array(quotes.mid_bps, dtype=float) / 1e4
-    weight_arr = np.array(w.weights)
     lgd = 1.0 - config.recovery
-    loop_config = config.with_overrides(order=1)
+    loop_config = replace(config, order=1)
 
     def spreads_at(credit: np.ndarray, cfg: PricingConfig) -> np.ndarray:
         model = assemble_model(rate, sigma1_hat, credit, correlated)
@@ -481,7 +455,7 @@ def calibrate_cds(
     def objective(p: np.ndarray) -> float:
         credit = np.append(p, 0.0) if not correlated else p
         resid = spreads_at(credit, loop_config) - targets
-        return float(np.sum(weight_arr * resid**2)) + feller_penalty(p[0], p[1], p[2])
+        return float(np.sum(weight_arr * resid**2)) + _feller_penalty(p[0], p[1], p[2])
 
     if initial is None:
         h_short = float(targets[0]) / lgd
@@ -580,13 +554,12 @@ def run_pipeline(
     quotes: CdsQuoteSet,
     config: PricingConfig,
     *,
-    weights: str | WeightVector = "bidask",
+    weights: str = "bidask",
     correlated: bool = True,
-    rate_initial: np.ndarray | None = None,
     credit_initial: np.ndarray | None = None,
 ) -> PipelineResult:
     """Run all three calibration steps and reprice the quote tenors."""
-    rates = calibrate_rates(curve, rate_initial)
+    rates = calibrate_rates(curve)
     rate = CirParams(float(rates.x[0]), float(rates.x[1]), float(rates.x[2]), curve.short_rate)
     t_vol = time.perf_counter()
     vol = match_volatility(rate, rate.x0, float(max(quotes.tenors)))

@@ -48,6 +48,14 @@ class CirParams:
             raise ValueError("parameters must be finite")
 
 
+def feller_margin(alpha: float, beta: float, sigma: float) -> float:
+    """2 alpha beta - sigma^2: negative when the zero boundary is attainable.
+
+    Plain floats, no state, so a leg whose state is out of range is judged too.
+    """
+    return 2.0 * alpha * beta - sigma * sigma
+
+
 def _affine_coefficients(params: CirParams, tau):
     alpha, sigma = params.alpha, params.sigma
     sig2 = sigma * sigma

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import fields as dc_fields
+from dataclasses import fields as dc_fields, replace
 
 import numpy as np
 
@@ -65,7 +65,7 @@ def _require(value, flag: str):
 def _load_params(path: str) -> ModelParams:
     """Model parameters from a flat key=value file (sigma1_hat optional)."""
     kw: dict[str, float] = {}
-    for key, val in _read_key_values(path, "params", _PARAM_KEYS + ("sigma1_hat",)):
+    for key, val in _read_key_values(path, "params", _PARAM_KEYS + ("sigma1_hat",)).items():
         try:
             kw[key] = float(val)
         except ValueError:
@@ -95,7 +95,7 @@ def _parse_tenors(text: str) -> tuple[float, ...]:
 def _effective_config(args) -> PricingConfig:
     config = load_pricing_config(args.config) if args.config else PricingConfig()
     if getattr(args, "order", None) is not None:
-        config = config.with_overrides(order=args.order)
+        config = replace(config, order=args.order)
     return config
 
 
@@ -336,15 +336,14 @@ def _cmd_mc_check(args) -> int:
         )
     except ValueError as exc:
         raise _InputError(str(exc)) from None
+    # one expansion over all tenors; the simulation runs once per tenor
+    terms = expansion_terms(params, tenors, order=config.order, quad_nodes=config.quad_nodes)
+    model_q = survival_approx(params.intensity_leg(), np.asarray(tenors), order=config.order)
     rows = []
     notes = []
-    for T in tenors:
-        terms = expansion_terms(params, T, order=config.order, quad_nodes=config.quad_nodes)
-        model_v = float(terms.v()[0])
-        model_h = float(terms.h()[0])
-        model_q = float(survival_approx(params.intensity_leg(), T, order=config.order))
+    for T, *models in zip(tenors, terms.v(), terms.h(), model_q):
         estimates = mc_estimate(params, T, config=mc_config)
-        for target, model in (("v", model_v), ("h", model_h), ("q", model_q)):
+        for target, model in zip(("v", "h", "q"), map(float, models)):
             est, se = estimates[target]
             z = (model - est) / se if se > 0.0 else 0.0
             rows.append(

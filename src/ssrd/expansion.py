@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cir import CirParams
-from .timeint import _RunningGrid, psi, theta
+from .timeint import _RunningGrid, psi
 
 __all__ = [
     "ModelParams",
@@ -150,16 +150,14 @@ def _psi_theta(a, t):
     (a scalar, or a column with one row per leg), psi evaluated once.
 
     theta is (t - psi) / a, which is what ``timeint.theta`` computes on its
-    direct branch: E(0, t) = t and E(-a, t) = psi there.  Where |a t| < 1e-5,
-    its switch to a series, ``theta`` itself is called on those points.
+    direct branch: E(0, t) = t and E(-a, t) = psi there.  Where |a t| < 1e-5
+    that difference cancels, and the series t^2 (1/2 - a t/6 + (a t)^2/24)
+    takes over; its first omitted term is (a t)^3/60 relative.
     """
     w = psi(-a, 0.0, t)
-    th = (t - w) / a
-    small = np.abs(a * t) < 1e-5
-    if small.any():
-        a_small = np.broadcast_to(a, small.shape)[small]
-        th[small] = theta(-a_small, a_small, 0.0, np.broadcast_to(t, small.shape)[small])
-    return w, th
+    at = a * t
+    series = t * t * (0.5 - at * (1.0 / 6.0 - at / 24.0))
+    return w, np.where(np.abs(at) < 1e-5, series, (t - w) / a)
 
 
 class _ProxyMoments:

@@ -11,7 +11,11 @@ File formats are deliberately plain text so fixtures stay diffable:
                    Missing mid defaults to (bid+ask)/2.
 * config        -- flat ``key=value`` lines (recovery, frequency_months,
                    roll, day_count, quad_nodes, order, valuation); ``#``
-                   lines are comments.
+                   lines are comments and a repeated key is an error.
+
+Fixed-roll coupons fall on the 20th of every month m where 12 - m is a
+multiple of ``frequency_months``: Jun/Dec 20 at the default 6 months,
+the IMM months Mar/Jun/Sep/Dec at 3.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import calendar
 import datetime as _dt
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -234,13 +238,16 @@ class PricingConfig:
     quad_nodes: int = 32
     order: int = 2
     valuation: _dt.date | None = None
-    roll_days: tuple[tuple[int, int], ...] = ((6, 20), (12, 20))
 
     def __post_init__(self):
         if not (0.0 <= self.recovery < 1.0):
             raise MarketDataError(f"recovery must be < 1 and >= 0, got {self.recovery}")
         if not (isinstance(self.frequency_months, int) and self.frequency_months > 0):
             raise MarketDataError("frequency_months must be a positive integer")
+        if 12 % self.frequency_months != 0:
+            raise MarketDataError(
+                f"frequency_months must divide a year cleanly, got {self.frequency_months}"
+            )
         if self.roll not in ("fixed", "anniversary"):
             raise MarketDataError(f"unknown roll rule {self.roll!r}")
         if self.day_count not in ("act360", "act365"):
@@ -250,13 +257,13 @@ class PricingConfig:
         if self.order not in (0, 1, 2):
             raise MarketDataError("order must be 0, 1 or 2")
 
-    def with_overrides(self, **kw) -> "PricingConfig":
-        return replace(self, **kw)
 
+def _read_key_values(path, kind: str, keys) -> dict[str, str]:
+    """Lower-cased keys and their values in file order; ``#`` lines are comments.
 
-def _read_key_values(path, kind: str, keys) -> list[tuple[str, str]]:
-    """Lower-cased ``(key, value)`` pairs in file order; ``#`` lines are comments."""
-    items = []
+    A key given twice is an error, not a silent override.
+    """
+    items = {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -268,13 +275,15 @@ def _read_key_values(path, kind: str, keys) -> list[tuple[str, str]]:
             key = key.strip().lower()
             if key not in keys:
                 raise MarketDataError(f"{kind} {path}: unknown key {key!r}")
-            items.append((key, val.strip()))
+            if key in items:
+                raise MarketDataError(f"{kind} {path}:{ln_no}: repeated key {key!r}")
+            items[key] = val.strip()
     return items
 
 
 def load_pricing_config(path) -> PricingConfig:
     kw: dict = {}
-    for key, val in _read_key_values(path, "config", _CONFIG_KEYS):
+    for key, val in _read_key_values(path, "config", _CONFIG_KEYS).items():
         if key == "recovery":
             kw[key] = _parse_float(val, f"{path} recovery")
         elif key in ("frequency_months", "quad_nodes", "order"):
@@ -341,13 +350,16 @@ class Schedule:
         return all(abs(a - b) < 1e-12 for a, b in zip(self.times, other.times[:n]))
 
 
-def _roll_dates_after(start: _dt.date, roll_days) -> "iter":
-    """Yield configured roll dates strictly after ``start``, ascending."""
-    rolls = sorted(roll_days)
+def _roll_dates_after(start: _dt.date, frequency_months: int) -> "iter":
+    """Yield fixed-roll dates strictly after ``start``, ascending.
+
+    The frequency divides 12, so the months m with 12 - m a multiple of it
+    are its multiples.
+    """
     year = start.year - 1
     while True:
-        for month, day in rolls:
-            d = _dt.date(year, month, day)
+        for month in range(frequency_months, 13, frequency_months):
+            d = _dt.date(year, month, 20)
             if d > start:
                 yield d
         year += 1
@@ -356,9 +368,10 @@ def _roll_dates_after(start: _dt.date, roll_days) -> "iter":
 def build_schedule(valuation: _dt.date | None, tenor_years: float, config: PricingConfig) -> Schedule:
     """Build the premium schedule for one CDS maturity.
 
-    Fixed-roll mode places payments on the configured roll days and extends
-    the final payment to the first roll date at or beyond valuation+tenor;
-    it requires a valuation date.  Anniversary mode steps in multiples of
+    Fixed-roll mode places payments on the 20th of the roll months (see the
+    module docstring) and extends the final payment to the first roll date
+    at or beyond valuation+tenor; it requires a valuation date.  Anniversary
+    mode steps in multiples of
     the payment frequency from valuation; without a valuation date it works
     on an abstract year-fraction grid (accruals equal time differences).
     """
@@ -366,8 +379,6 @@ def build_schedule(valuation: _dt.date | None, tenor_years: float, config: Prici
         raise MarketDataError("tenor must be positive")
     fm = config.frequency_months
     if config.roll == "anniversary":
-        if 12 % fm != 0:
-            raise MarketDataError("frequency must divide a year cleanly in anniversary mode")
         if valuation is None:
             delta = fm / 12.0
             n_full = int(math.floor(tenor_years / delta + 1e-9))
@@ -392,7 +403,7 @@ def build_schedule(valuation: _dt.date | None, tenor_years: float, config: Prici
         else:
             nominal_end = valuation + _dt.timedelta(days=round(tenor_years * 365))
         dates = []
-        for d in _roll_dates_after(valuation, config.roll_days):
+        for d in _roll_dates_after(valuation, fm):
             dates.append(d)
             if d >= nominal_end:
                 break

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cir import CirParams, cir_bond, cir_bond_dT
+from .cir import CirParams, cir_bond, cir_bond_dT, feller_margin
 from .expansion import ModelParams, _expand, _warn_anchor
 from .market import PricingConfig, Schedule, build_schedule
 from .timeint import panel_nodes
@@ -67,11 +67,11 @@ class LegValues:
 
 
 def _warn_feller(params: ModelParams) -> None:
-    # 2 alpha beta - sigma^2 needs no state, so a negative r0 is priced too
+    # the margin needs no state, so a negative r0 is priced too
     p = params
     for name, alpha, beta, sigma in (("rate", p.alpha1, p.beta1, p.sigma1),
                                      ("intensity", p.alpha2, p.beta2, p.sigma2)):
-        if 2.0 * alpha * beta - sigma**2 < 0.0:
+        if feller_margin(alpha, beta, sigma) < 0.0:
             warnings.warn(
                 f"{name} factor violates 2*alpha*beta >= sigma^2; the zero "
                 "boundary is attainable and expansion accuracy may degrade",

@@ -5,8 +5,8 @@ problem whose expansion-priced objective has a flat valley: a
 derivative-free simplex crosses it in a few hundred evaluations, where
 damped Gauss-Newton steps creep along it.  The smooth rate fit (step 1)
 runs on Levenberg-Marquardt in :mod:`ssrd.calibrate` instead.  Rolling our
-own keeps the iteration bit-for-bit reproducible: fixed coefficients, no
-randomized restarts, no adaptive tweaks.
+own keeps the iteration bit-for-bit reproducible: fixed coefficients and
+stopping tolerances, no randomized restarts, no adaptive tweaks.
 
 Bounds are handled by reparametrization rather than clipping, so the
 simplex (and the rate fit's solver) always works in an unconstrained space:
@@ -33,6 +33,10 @@ _KINDS = ("free", "positive", "correlation")
 
 # reflection / expansion / contraction / shrink
 _RHO, _CHI, _GAMMA, _SIGMA = 1.0, 2.0, 0.5, 0.5
+
+# stopping tolerances: simplex diameter in unconstrained coordinates, and
+# objective spread across vertices
+_DIAMETER_TOL, _FSPREAD_TOL = 1e-8, 1e-12
 
 _ATANH_CLIP = 1.0 - 1e-12
 
@@ -105,18 +109,16 @@ def nelder_mead(
     x0,
     transform: Transform | None = None,
     *,
-    diameter_tol: float = 1e-8,
-    fspread_tol: float = 1e-12,
     max_iter: int | None = None,
 ) -> CalibrationResult:
     """Minimize ``objective`` from ``x0`` with the (1, 2, 0.5, 0.5) simplex.
 
     Convergence is declared when the simplex diameter (max-norm distance
     of any vertex from the best one, in unconstrained coordinates) falls
-    below ``diameter_tol`` or the objective spread across vertices falls
-    below ``fspread_tol``.  Exhausting the iteration budget returns the
-    best vertex with ``converged=False`` instead of raising; a non-finite
-    objective at the start is an error.
+    below 1e-8 or the objective spread across vertices falls below 1e-12.
+    Exhausting the iteration budget returns the best vertex with
+    ``converged=False`` instead of raising; a non-finite objective at the
+    start is an error.
     """
     t_start = time.perf_counter()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -153,7 +155,7 @@ def nelder_mead(
 
         diameter = 0.0 if n == 0 else float(np.max(np.abs(sim[1:] - sim[0])))
         fspread = float(fvals[-1] - fvals[0])
-        if diameter < diameter_tol or fspread < fspread_tol:
+        if diameter < _DIAMETER_TOL or fspread < _FSPREAD_TOL:
             converged = True
             break
         iterations += 1

@@ -17,7 +17,14 @@ import numpy as np
 import pytest
 
 import ssrd
-from conftest import MARKET_STRIP_TENORS, intensity_leg_params, make_model
+import ssrd.cli
+from conftest import (
+    INTENSITY_SETS,
+    MARKET_STRIP_TENORS,
+    RATE_FIXTURE,
+    intensity_leg_params,
+    make_model,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -144,3 +151,24 @@ def test_ladder_evaluates_each_closed_form_once():
     called = [name for name, *_ in tracer.spans]
     assert called.count("timeint.psi") == 1
     assert "timeint.theta" not in called
+
+
+def test_mc_check_expands_once_for_all_tenors(tmp_path):
+    # One expansion_terms and one survival_approx call cover every tenor;
+    # only the simulation runs per tenor (two of each when each tenor took
+    # its own expansion).
+    params = tmp_path / "params.txt"
+    values = {**RATE_FIXTURE, **INTENSITY_SETS["mid2"], "rho": 0.5}
+    params.write_text("".join(f"{k}={v!r}\n" for k, v in values.items()))
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        code = ssrd.cli.main(["mc-check", "--params", str(params), "--tenors", "1,3",
+                              "--paths", "200", "--step", "0.05"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    called = [name for name, *_ in tracer.spans]
+    assert called.count("expansion.expansion_terms") == 1
+    assert called.count("expansion.survival_approx") == 1
+    assert called.count("mc.mc_estimate") == 2

@@ -14,14 +14,13 @@ from conftest import MARKET_STRIP_MIDS, MARKET_STRIP_TENORS, RATE_FIXTURE, make_
 from ssrd.calibrate import (
     BootstrapAnomalyWarning,
     CalibrationError,
-    WeightVector,
+    _feller_penalty,
     _levenberg_marquardt,
     assemble_model,
     bootstrap_survival,
     calibrate_cds,
     calibrate_rates,
     compute_weights,
-    feller_penalty,
     match_volatility,
     run_pipeline,
 )
@@ -64,18 +63,18 @@ def _exact_curve(pillars=(0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0)):
 
 def test_uniform_weights_split_evenly():
     q = _quotes((1.0, 2.0), (50.0, 60.0))
-    assert compute_weights("uniform", q).weights == (0.5, 0.5)
+    assert compute_weights("uniform", q) == (0.5, 0.5)
 
 
 def test_bidask_weights_are_inverse_width():
     q = CdsQuoteSet(tenors=(1.0, 2.0), bid_bps=(49.5, 59.0), ask_bps=(50.5, 61.0),
                     mid_bps=(50.0, 60.0))  # widths 1 and 2 bps
-    assert compute_weights("bidask", q).weights == pytest.approx((2 / 3, 1 / 3), abs=1e-15)
+    assert compute_weights("bidask", q) == pytest.approx((2 / 3, 1 / 3), abs=1e-15)
 
 
 def test_invtenor_weights_favor_the_short_end():
     q = _quotes((1.0, 2.0), (50.0, 60.0))
-    assert compute_weights("invtenor", q).weights == pytest.approx((2 / 3, 1 / 3), abs=1e-15)
+    assert compute_weights("invtenor", q) == pytest.approx((2 / 3, 1 / 3), abs=1e-15)
 
 
 def test_bidask_weights_need_a_positive_width():
@@ -90,16 +89,6 @@ def test_unknown_weight_scheme_is_rejected():
         compute_weights("equal", q)
 
 
-def test_weight_vector_validation():
-    with pytest.raises(CalibrationError, match="empty"):
-        WeightVector(weights=())
-    with pytest.raises(CalibrationError, match="nonnegative"):
-        WeightVector(weights=(1.5, -0.5))
-    with pytest.raises(CalibrationError, match="sum to 1"):
-        WeightVector(weights=(0.3, 0.3))
-    WeightVector(weights=(0.25, 0.75))  # valid
-
-
 @given(
     tenors=st.lists(st.floats(0.25, 30.0), min_size=1, max_size=12, unique=True),
     scheme=st.sampled_from(["uniform", "invtenor"]),
@@ -108,7 +97,7 @@ def test_weight_vector_validation():
 def test_weights_normalize_and_stay_positive(tenors, scheme):
     tenors = tuple(sorted(tenors))
     q = _quotes(tenors, tuple(50.0 for _ in tenors))
-    w = compute_weights(scheme, q).weights
+    w = compute_weights(scheme, q)
     assert math.isfinite(sum(w)) and abs(sum(w) - 1.0) <= 1e-12
     assert all(x > 0 for x in w)
     if scheme == "invtenor":
@@ -134,13 +123,6 @@ def test_rate_fit_reprices_an_exactly_attainable_curve():
                                           abs=1e-10)
     assert len(res.residuals) == len(curve.tenors)
     assert res.elapsed > 0.0
-
-
-def test_rate_fit_supplied_initial_point_wins_when_exact():
-    curve = _exact_curve()
-    res = calibrate_rates(curve, initial=np.array([RATE.alpha, RATE.beta, RATE.sigma]))
-    assert res.objective < 1e-20
-    assert res.x == pytest.approx([RATE.alpha, RATE.beta, RATE.sigma], rel=1e-4)
 
 
 def test_rate_fit_requires_observed_short_rate():
@@ -305,7 +287,7 @@ def test_credit_fit_reported_objective_is_bare_weighted_ssr():
     refit_model = assemble_model(RATE, 0.05, np.append(res.x, 0.0), correlated=False)
     sched = build_schedule(None, 5.0, CFG)
     spreads = spread_ladder(refit_model, sched, [2, 4, 6, 8, 10], CFG)
-    w = compute_weights("invtenor", quotes).weights
+    w = compute_weights("invtenor", quotes)
     ssr = float(np.sum(np.array(w) * (spreads - np.array(quotes.mid_bps) / 1e4) ** 2))
     assert res.objective == pytest.approx(ssr, abs=1e-10)
 
@@ -317,7 +299,7 @@ def test_credit_fit_excludes_feller_penalty_from_reported_objective():
     model = make_model("mid2", rho=0.0)
     quotes = _synthetic_quotes(model, (1.0, 2.0, 3.0))
     bad_start = np.array([0.01, 0.001, 0.8, 0.01])
-    assert feller_penalty(*bad_start[:3]) > 1e5
+    assert _feller_penalty(*bad_start[:3]) > 1e5
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         res = calibrate_cds(quotes, RATE, 0.05, CFG, weights="uniform",
@@ -345,17 +327,6 @@ def test_credit_fit_is_deterministic():
     assert a.n_eval == b.n_eval
 
 
-def test_credit_fit_accepts_explicit_weight_vector():
-    model = make_model("mid1", rho=0.0)
-    quotes = _synthetic_quotes(model, (1.0, 2.0, 3.0, 4.0))
-    w = WeightVector(weights=(0.4, 0.3, 0.2, 0.1), scheme="custom")
-    res = calibrate_cds(quotes, RATE, 0.05, CFG, weights=w, correlated=False, max_iter=30)
-    assert len(res.residuals) == 4
-    with pytest.raises(CalibrationError, match="one weight per quote"):
-        calibrate_cds(quotes, RATE, 0.05, CFG, weights=WeightVector(weights=(1.0,)),
-                      correlated=False)
-
-
 def test_credit_fit_requires_aligned_coupon_grids():
     model = make_model("mid1", rho=0.0)
     quotes = _synthetic_quotes(model, (1.25, 2.0))
@@ -375,9 +346,9 @@ def test_assemble_model_pins_rho_when_uncorrelated():
 
 
 def test_feller_penalty_values():
-    assert feller_penalty(0.2, 0.03, 0.05) == 0.0  # condition satisfied
+    assert _feller_penalty(0.2, 0.03, 0.05) == 0.0  # condition satisfied
     margin = 0.3**2 - 2 * 0.1 * 0.01
-    assert feller_penalty(0.1, 0.01, 0.3) == pytest.approx(1e6 * margin**2, rel=1e-12)
+    assert _feller_penalty(0.1, 0.01, 0.3) == pytest.approx(1e6 * margin**2, rel=1e-12)
 
 
 # --------------------------------------------------------------------------

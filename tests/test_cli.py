@@ -294,7 +294,7 @@ def test_mc_check_simulates_once_per_tenor(market_dir, monkeypatch, capsys):
 def test_nonconverged_calibration_exits_three(market_dir, capsys, monkeypatch):
     import ssrd.cli as cli_mod
 
-    def fake_calibrate(curve, initial=None, **kw):
+    def fake_calibrate(curve, **kw):
         return CalibrationResult(
             x=np.array([0.2, 0.03, 0.05]), objective=1.0, iterations=99,
             n_eval=100, converged=False,
@@ -331,6 +331,33 @@ def test_missing_file_names_the_path(market_dir, tmp_path, capsys):
         assert code == 2, argv
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert culprit in err
+
+
+def test_repeated_key_in_a_key_value_file_exits_two(market_dir, tmp_path, capsys):
+    # A second value for a key is an input error, not a silent override.
+    config = tmp_path / "config.txt"
+    config.write_text("roll=anniversary\norder=1\norder=2\n")
+    code = run_cli("price", "--params", str(market_dir / "params.txt"),
+                   "--config", str(config), "--tenors", "1")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: config {config}:3: repeated key 'order'\n"
+
+    params = tmp_path / "params.txt"
+    params.write_text((market_dir / "params.txt").read_text() + "rho=0.5\n")
+    code = run_cli("price", "--params", str(params),
+                   "--config", str(market_dir / "config.txt"), "--tenors", "1")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: params {params}:10: repeated key 'rho'\n"
+
+
+def test_frequency_that_does_not_divide_a_year_exits_two(market_dir, tmp_path, capsys):
+    config = tmp_path / "config.txt"
+    for roll in ("fixed", "anniversary"):
+        config.write_text(f"roll={roll}\nfrequency_months=5\nvaluation=2024-03-01\n")
+        code = run_cli("price", "--params", str(market_dir / "params.txt"),
+                       "--config", str(config), "--tenors", "1")
+        assert code == 2
+        assert "frequency_months must divide a year" in capsys.readouterr().err
 
 
 def test_missing_required_flag(capsys):

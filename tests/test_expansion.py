@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ssrd.expansion import (
     ModelParams,
     _ProxyMoments,
     _expand,
+    _psi_theta,
     expansion_terms,
     h_expansion,
     proxy_bond_expansion,
@@ -257,6 +259,25 @@ def test_survival_order_zero_equals_the_closed_form(alpha):
     oracle = np.exp(-leg.x0 * psi(-alpha, 0.0, T) - alpha * leg.beta * theta(-alpha, alpha, 0.0, T))
     assert np.array_equal(survival_approx(leg, T, order=0), oracle)
     assert np.array_equal(proxy_bond_expansion(alpha, leg.beta, leg.x0, T)[0], oracle)
+
+
+def test_theta_series_matches_a_decimal_oracle():
+    # Below |a t| = 1e-5, theta(-a, a, 0, t) = (t - psi(-a, 0, t)) / a
+    # cancels and the engine switches to a series.  Against the closed form
+    # in 60-digit decimal arithmetic (each float converts exactly) it must
+    # hold to 1e-15 relative; a first-order series is off by up to ~1e-11.
+    rng = np.random.default_rng(0)
+    at = 10.0 ** rng.uniform(-12.0, -5.0, 2000)
+    t = 10.0 ** rng.uniform(-3.0, 1.5, 2000)
+    a = at / t
+    assert np.all(a * t < 1e-5)
+    _, th = _psi_theta(a, t)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for ai, ti, got in zip(a.tolist(), t.tolist(), th.tolist()):
+            A, T = Decimal(ai), Decimal(ti)
+            exact = (T - (1 - (-A * T).exp()) / A) / A
+            assert abs(Decimal(got) - exact) <= Decimal("1e-15") * exact, (ai, ti)
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -205,9 +206,26 @@ def test_config_validation():
         PricingConfig(frequency_months=0)
 
 
+def test_config_frequency_must_divide_a_year():
+    # checked when the config is built, whatever the roll rule
+    for roll in ("fixed", "anniversary"):
+        for months in (5, 7, 24):
+            with pytest.raises(MarketDataError, match="divide a year"):
+                PricingConfig(roll=roll, frequency_months=months)
+    for months in (1, 2, 3, 4, 6, 12):
+        PricingConfig(frequency_months=months)
+
+
+def test_config_loader_rejects_a_repeated_key(tmp_path):
+    p = tmp_path / "config.txt"
+    p.write_text("order=1\n# order=0\nORDER=2\n")
+    with pytest.raises(MarketDataError, match=r"config .*:3: repeated key 'order'"):
+        load_pricing_config(p)
+
+
 def test_config_with_overrides_returns_new_instance():
     cfg = PricingConfig()
-    other = cfg.with_overrides(order=1, quad_nodes=64)
+    other = replace(cfg, order=1, quad_nodes=64)
     assert (other.order, other.quad_nodes) == (1, 64)
     assert (cfg.order, cfg.quad_nodes) == (2, 32)
 
@@ -252,6 +270,26 @@ def test_fixed_roll_schedule_lands_on_configured_days():
     )
     assert sched.times == tuple((d - val).days / 360.0 for d in sched.dates)
     assert sched.times[0] == pytest.approx(102 / 360.0)
+
+
+def test_fixed_roll_dates_follow_the_coupon_frequency():
+    # the 20th of every month m with 12 - m a multiple of frequency_months
+    val = dt.date(2024, 3, 1)
+
+    def dates(months):
+        cfg = PricingConfig(roll="fixed", frequency_months=months, valuation=val)
+        return build_schedule(val, 2.0, cfg).dates
+
+    def on_20th(*year_months):
+        return tuple(dt.date(y, m, 20) for y, m in year_months)
+
+    assert dates(3) == on_20th((2024, 3), (2024, 6), (2024, 9), (2024, 12), (2025, 3),
+                               (2025, 6), (2025, 9), (2025, 12), (2026, 3))
+    assert dates(6) == on_20th((2024, 6), (2024, 12), (2025, 6), (2025, 12), (2026, 6))
+    assert dates(12) == on_20th((2024, 12), (2025, 12), (2026, 12))
+    monthly = dates(1)
+    assert len(monthly) == 25 and monthly[0] == dt.date(2024, 3, 20)
+    assert all(d.day == 20 for d in monthly)
 
 
 def test_fixed_roll_schedule_act365():

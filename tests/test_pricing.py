@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ def test_panel_refinement_is_converged():
     model = make_model("mid2")
     sched = _schedule(5.0)
     s32 = price_cds(model, sched, CFG).spread
-    s64 = price_cds(model, sched, CFG.with_overrides(quad_nodes=64)).spread
+    s64 = price_cds(model, sched, replace(CFG, quad_nodes=64)).spread
     assert abs(s64 - s32) * 1e4 < 1e-4  # basis points
 
 
@@ -162,7 +163,7 @@ def test_order_progression_contracts():
     # Order 1 -> 2 must move the spread by (much) less than order 0 -> 1.
     model = make_model("mid2")
     sched = _schedule(5.0)
-    s = [price_cds(model, sched, CFG.with_overrides(order=k)).spread for k in (0, 1, 2)]
+    s = [price_cds(model, sched, replace(CFG, order=k)).spread for k in (0, 1, 2)]
     assert abs(s[2] - s[1]) <= abs(s[1] - s[0])
 
 
@@ -186,9 +187,9 @@ def test_spread_is_exactly_linear_in_loss_given_default():
     # full-recovery limit the spread is therefore exactly zero.
     model = make_model("fast")
     sched = _schedule(4.0)
-    base = price_cds(model, sched, CFG.with_overrides(recovery=0.0))
+    base = price_cds(model, sched, replace(CFG, recovery=0.0))
     for rec in (0.25, 0.4, 0.9, 0.999999):
-        res = price_cds(model, sched, CFG.with_overrides(recovery=rec))
+        res = price_cds(model, sched, replace(CFG, recovery=rec))
         scaled = (1.0 - rec) * base.spread
         assert abs(res.spread - scaled) <= 2 * np.spacing(scaled)
         assert res.annuity == base.annuity

@@ -138,6 +138,6 @@ def test_result_reports_evaluation_accounting():
 
 def test_fspread_tolerance_alone_can_stop():
     # A flat objective has zero f-spread immediately; the diameter is large.
-    res = nelder_mead(lambda x: 1.0, [4.0, -3.0], diameter_tol=0.0)
+    res = nelder_mead(lambda x: 1.0, [4.0, -3.0])
     assert res.converged
     assert res.iterations == 0
