@@ -44,8 +44,8 @@ def mc_study(model, maturities, orders, paths, step, seed):
     print(f"{'T':>8}{'target':>8}{'mc':>14}{'se':>12}"
           + "".join(f"{f'gap/se ord {n}':>15}" for n in orders))
     terms = expansion_terms(model, maturities, order=max(orders))
-    for i, T in enumerate(maturities):
-        estimates = mc_estimate(model, float(T), config=cfg)
+    sampled = mc_estimate(model, float(maturities.max()), config=cfg, at=maturities)
+    for i, (T, estimates) in enumerate(zip(maturities, sampled)):
         for target, approx in (("v", terms.v), ("h", terms.h)):
             est, se = estimates[target]
             row = f"{T:>8.4f}{target:>8}{est:>14.8f}{se:>12.2e}"

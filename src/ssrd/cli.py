@@ -336,13 +336,16 @@ def _cmd_mc_check(args) -> int:
         )
     except ValueError as exc:
         raise _InputError(str(exc)) from None
-    # one expansion over all tenors; the simulation runs once per tenor
+    if args.paths < 3:
+        # one antithetic pair has no sample variance: every |z| would read 0
+        raise _InputError(f"--paths must be at least 3 (two antithetic pairs), got {args.paths}")
+    # one expansion call and one simulation call cover every tenor
     terms = expansion_terms(params, tenors, order=config.order, quad_nodes=config.quad_nodes)
     model_q = survival_approx(params.intensity_leg(), np.asarray(tenors), order=config.order)
+    sampled = mc_estimate(params, max(tenors), config=mc_config, at=tenors)
     rows = []
     notes = []
-    for T, *models in zip(tenors, terms.v(), terms.h(), model_q):
-        estimates = mc_estimate(params, T, config=mc_config)
+    for T, estimates, *models in zip(tenors, sampled, terms.v(), terms.h(), model_q):
         for target, model in zip(("v", "h", "q"), map(float, models)):
             est, se = estimates[target]
             z = (model - est) / se if se > 0.0 else 0.0

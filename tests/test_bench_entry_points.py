@@ -154,9 +154,8 @@ def test_ladder_evaluates_each_closed_form_once():
 
 
 def test_mc_check_expands_once_for_all_tenors(tmp_path):
-    # One expansion_terms and one survival_approx call cover every tenor;
-    # only the simulation runs per tenor (two of each when each tenor took
-    # its own expansion).
+    # One expansion_terms, one survival_approx and one mc_estimate call
+    # cover every tenor (two of each when each tenor took its own).
     params = tmp_path / "params.txt"
     values = {**RATE_FIXTURE, **INTENSITY_SETS["mid2"], "rho": 0.5}
     params.write_text("".join(f"{k}={v!r}\n" for k, v in values.items()))
@@ -171,4 +170,4 @@ def test_mc_check_expands_once_for_all_tenors(tmp_path):
     called = [name for name, *_ in tracer.spans]
     assert called.count("expansion.expansion_terms") == 1
     assert called.count("expansion.survival_approx") == 1
-    assert called.count("mc.mc_estimate") == 2
+    assert called.count("mc.mc_estimate") == 1

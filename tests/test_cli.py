@@ -261,10 +261,11 @@ def test_mc_check_h_column_is_the_expansion_h(market_dir, capsys):
                          stdout, re.M), (T, stdout)
 
 
-def test_mc_check_simulates_once_per_tenor(market_dir, monkeypatch, capsys):
-    # One path set serves v, h and q.  The benchmark's path-step counter
-    # (perfbench/tracer.py, loaded read-only) finds ``config`` by keyword;
-    # passed positionally at index 2 it would silently count the default.
+def test_mc_check_simulates_once_for_all_tenors(market_dir, monkeypatch, capsys):
+    # One path set serves v, h and q at every tenor.  The benchmark's
+    # path-step counter (perfbench/tracer.py, loaded read-only) reads the
+    # horizon at index 1 and finds ``config`` by keyword; passed
+    # positionally at index 2 it would silently count the default.
     import ssrd.cli as cli_mod
 
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -285,10 +286,22 @@ def test_mc_check_simulates_once_per_tenor(market_dir, monkeypatch, capsys):
                    "--config", str(market_dir / "config.txt"),
                    "--tenors", "1,3", "--paths", "400", "--step", "0.05")
     assert code == 0
-    assert len(calls) == 2
-    for (args, kwargs, out), T in zip(calls, (1.0, 3.0)):
-        assert args[1:] == (T,) and set(kwargs) == {"config"}
-        assert tracer._path_steps(args, kwargs, out) == (400 * math.ceil(T / 0.05),)
+    assert len(calls) == 1
+    args, kwargs, out = calls[0]
+    assert args[1:] == (3.0,) and set(kwargs) == {"config", "at"}
+    assert tuple(kwargs["at"]) == (1.0, 3.0) and len(out) == 2
+    assert tracer._path_steps(args, kwargs, out) == (400 * math.ceil(3 / 0.05),)
+
+
+@pytest.mark.parametrize("paths", ["1", "2"])
+def test_mc_check_rejects_fewer_than_two_antithetic_pairs(market_dir, capsys, paths):
+    # one pair has no sample variance, so every |z| would pass on no evidence
+    code = run_cli("mc-check", "--params", str(market_dir / "params.txt"),
+                   "--config", str(market_dir / "config.txt"),
+                   "--tenors", "1", "--paths", paths, "--step", "0.05")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--paths must be at least 3" in err and err.count("\n") == 1
 
 
 def test_nonconverged_calibration_exits_three(market_dir, capsys, monkeypatch):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import ssrd.mc as mc_mod
 from conftest import make_model
 from ssrd.cir import cir_bond
 from ssrd.mc import McConfig, mc_estimate
@@ -32,6 +33,13 @@ def test_estimate_input_validation():
     model = make_model("mid1")
     with pytest.raises(ValueError, match="horizon"):
         mc_estimate(model, 0.0)
+    with pytest.raises(ValueError, match="tenor list is empty"):
+        mc_estimate(model, 1.0, at=())
+    for bad in (0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            mc_estimate(model, 1.0, at=(0.5, bad))
+    with pytest.raises(ValueError, match="beyond the horizon"):
+        mc_estimate(model, 1.0, at=(0.5, 1.5))
 
 
 def test_zero_volatility_is_exact_with_zero_error():
@@ -117,3 +125,71 @@ def test_correlation_shifts_v_in_the_expected_direction():
     lo, _ = mc_estimate(make_model("mid2", rho=-0.5), T, config=cfg)["v"]
     hi, _ = mc_estimate(make_model("mid2", rho=0.5), T, config=cfg)["v"]
     assert hi > lo
+
+
+def _count_sweeps(monkeypatch):
+    sweeps = []
+    real = mc_mod._simulate_block
+
+    def spy(params, dt, stops, *args):
+        sweeps.append((dt, sorted(stops)))
+        return real(params, dt, stops, *args)
+
+    monkeypatch.setattr(mc_mod, "_simulate_block", spy)
+    return sweeps
+
+
+def _one_call_per_tenor(model, at, config):
+    return [mc_estimate(model, t, config=config) for t in at]
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+def test_tenor_list_equals_one_call_per_tenor(set_name, antithetic, monkeypatch):
+    # step 0.25 puts every tenor on one grid: one sweep reads all four
+    model = make_model(set_name)
+    cfg = McConfig(n_paths=2_000, step=0.25, seed=4, antithetic=antithetic)
+    at = (0.5, 1.0, 1.5, 2.0)
+    expected = _one_call_per_tenor(model, at, cfg)
+    sweeps = _count_sweeps(monkeypatch)
+    assert mc_estimate(model, 2.0, config=cfg, at=at) == expected
+    assert sweeps == [(0.25, [2, 4, 6, 8])]
+
+
+def test_tenor_list_across_blocks_equals_one_call_per_tenor(monkeypatch):
+    # 40k antithetic paths = 20k pairs = two blocks, each swept once
+    model = make_model("fast", rho=0.5)
+    cfg = McConfig(n_paths=40_000, step=0.25, seed=9)
+    at = (1.0, 0.5)
+    expected = _one_call_per_tenor(model, at, cfg)
+    sweeps = _count_sweeps(monkeypatch)
+    assert mc_estimate(model, 1.0, config=cfg, at=at) == expected
+    assert sweeps == [(0.25, [2, 4])] * 2
+
+
+def test_unsorted_repeated_tenors_keep_their_order():
+    model = make_model("mid2", rho=-0.3)
+    cfg = McConfig(n_paths=1_000, step=0.25, seed=2)
+    at = [2.0, 0.5, 2.0, 1.0, 0.5]
+    out = mc_estimate(model, 3.0, config=cfg, at=at)
+    assert out == _one_call_per_tenor(model, at, cfg)
+    assert out[0] == out[2] and out[1] == out[4] and out[0] != out[1]
+
+
+def test_tenor_off_the_grid_gets_its_own_sweep(monkeypatch):
+    # 0.25 / ceil(0.25 / 0.1) = 1/12, not 0.1: those paths differ from the
+    # shared sweep's, so that tenor is simulated apart with the same seed
+    model = make_model("slow", rho=0.4)
+    cfg = McConfig(n_paths=1_000, step=0.1, seed=6)
+    at = np.array([1.0, 0.25, 0.5])
+    expected = _one_call_per_tenor(model, at, cfg)
+    sweeps = _count_sweeps(monkeypatch)
+    assert mc_estimate(model, 1.0, config=cfg, at=at) == expected
+    assert sweeps == [(0.1, [5, 10]), (0.25 / 3, [3])]
+
+
+def test_zero_volatility_tenor_list_is_exact_per_tenor():
+    model = make_model("mid2", sigma1=0.0, sigma2=0.0)
+    at = (3.0, 1.0)
+    out = mc_estimate(model, 3.0, at=at)
+    assert out == [mc_estimate(model, t) for t in at]
+    assert all(se == 0.0 for est in out for _, se in est.values())
