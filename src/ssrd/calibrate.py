@@ -453,8 +453,7 @@ def calibrate_cds(
         return spread_ladder(model, union, ends, cfg)
 
     def objective(p: np.ndarray) -> float:
-        credit = np.append(p, 0.0) if not correlated else p
-        resid = spreads_at(credit, loop_config) - targets
+        resid = spreads_at(p, loop_config) - targets
         return float(np.sum(weight_arr * resid**2)) + _feller_penalty(p[0], p[1], p[2])
 
     if initial is None:
@@ -470,8 +469,7 @@ def calibrate_cds(
     t_start = time.perf_counter()
     res = nelder_mead(objective, initial, Transform(kinds), max_iter=max_iter)
 
-    credit = np.append(res.x, 0.0) if not correlated else res.x
-    residuals = spreads_at(credit, config) - targets
+    residuals = spreads_at(res.x, config) - targets
     return replace(
         res,
         objective=float(np.sum(weight_arr * residuals**2)),
@@ -573,8 +571,7 @@ def run_pipeline(
         correlated=correlated,
         initial=credit_initial,
     )
-    xi = np.append(credit.x, 0.0) if not correlated else credit.x
-    model = assemble_model(rate, vol.sigma1_hat, xi, correlated)
+    model = assemble_model(rate, vol.sigma1_hat, credit.x, correlated)
     t_reprice = time.perf_counter()
     union, ends = _quote_schedules(quotes, config)
     spreads = spread_ladder(model, union, ends, config)

@@ -110,89 +110,77 @@ def _timing(seconds: float) -> str:
 
 
 def _emit(report: CalibrationReport, out_dir: str | None) -> None:
-    sys.stdout.write(report.text())
+    text = report.text()
+    sys.stdout.write(text)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         base = os.path.join(out_dir, report.command)
-        for ext, payload in ((".txt", report.text()), (".csv", report.csv()), (".json", report.json())):
+        for ext, payload in ((".txt", text), (".csv", report.csv()), (".json", report.json())):
             with open(base + ext, "w", encoding="utf-8") as fh:
                 fh.write(payload)
 
 
-def _model_table_rows(tenors, market_bps, model_spreads):
-    rows = []
-    for T, mkt, mod in zip(tenors, market_bps, model_spreads):
-        rows.append((f"{T:g}", f"{mkt:.3f}", fmt_bps(mod), relative_error_pct(1e4 * mod, mkt)))
-    return tuple(rows)
+def _param_block(params, keys=_PARAM_KEYS) -> tuple[tuple[str, str], ...]:
+    """The named parameters of ``params``, formatted for a report."""
+    return tuple((k, fmt_param(getattr(params, k))) for k in keys)
+
+
+def _rate_block(rate: CirParams) -> tuple[tuple[str, str], ...]:
+    """The fitted rate factor as every calibration report names it."""
+    values = (rate.alpha, rate.beta, rate.sigma, rate.x0)
+    return tuple((k, fmt_param(v)) for k, v in zip(_PARAM_KEYS[:4], values))
 
 
 # --------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its report and exit status; ``main`` emits it.
 
 
-def _cmd_calibrate_rates(args) -> int:
+def _cmd_rates(args) -> tuple[CalibrationReport, int]:
+    """calibrate-rates reprices the curve pillars, match-vol matches sigma1."""
     curve = load_discount_curve(_require(args.curve, "--curve"))
+    matching = args.command == "match-vol"
+    if matching:  # the horizon is checked before the fit runs
+        if args.tmax is not None:
+            t_max = args.tmax
+        elif args.quotes:
+            t_max = max(load_cds_quotes(args.quotes).tenors)
+        else:
+            raise _InputError("need --tmax or --quotes to set the matching horizon")
     res = calibrate_rates(curve)
     fit = CirParams(float(res.x[0]), float(res.x[1]), float(res.x[2]), curve.short_rate)
-    rows = []
-    for T, df in zip(curve.tenors, curve.dfs):
-        if T <= 0.0:
-            continue
-        model = float(cir_bond(fit, 0.0, T))
-        rows.append((f"{T:g}", f"{df:.8f}", f"{model:.8f}", relative_error_pct(model, df)))
-    report = CalibrationReport(
-        command="calibrate-rates",
-        headers=("tenor", "market_df", "model_df", "rel_error_pct"),
-        rows=tuple(rows),
-        params=(
-            ("alpha1", fmt_param(fit.alpha)),
-            ("beta1", fmt_param(fit.beta)),
-            ("sigma1", fmt_param(fit.sigma)),
-            ("r0", fmt_param(fit.x0)),
-            ("objective", f"{res.objective:.6e}"),
-            ("iterations", str(res.iterations)),
-            ("converged", str(res.converged).lower()),
-        ),
-        timings=(("rates", _timing(res.elapsed)),),
-        config_echo=(("curve", args.curve),),
-    )
-    _emit(report, args.out)
-    return 0 if res.converged else 3
-
-
-def _cmd_match_vol(args) -> int:
-    curve = load_discount_curve(_require(args.curve, "--curve"))
-    if args.tmax is not None:
-        t_max = args.tmax
-    elif args.quotes:
-        t_max = max(load_cds_quotes(args.quotes).tenors)
-    else:
-        raise _InputError("need --tmax or --quotes to set the matching horizon")
-    res = calibrate_rates(curve)
-    fit = CirParams(float(res.x[0]), float(res.x[1]), float(res.x[2]), curve.short_rate)
-    mv = match_volatility(fit, fit.x0, t_max)
-    report = CalibrationReport(
-        command="match-vol",
-        headers=(),
-        rows=(),
-        params=(
-            ("alpha1", fmt_param(fit.alpha)),
-            ("beta1", fmt_param(fit.beta)),
-            ("sigma1", fmt_param(fit.sigma)),
-            ("r0", fmt_param(fit.x0)),
+    headers, rows = (), []
+    if matching:
+        mv = match_volatility(fit, fit.x0, t_max)
+        block = (
             ("sigma1_hat", fmt_param(mv.sigma1_hat)),
             ("branch", mv.branch),
             ("residual", f"{mv.residual:.3e}"),
             ("t_max", f"{t_max:g}"),
-        ),
+        )
+    else:
+        headers = ("tenor", "market_df", "model_df", "rel_error_pct")
+        for T, df in zip(curve.tenors, curve.dfs):
+            if T > 0.0:
+                model = float(cir_bond(fit, 0.0, T))
+                rows.append((f"{T:g}", f"{df:.8f}", f"{model:.8f}", relative_error_pct(model, df)))
+        block = (
+            ("objective", f"{res.objective:.6e}"),
+            ("iterations", str(res.iterations)),
+            ("converged", str(res.converged).lower()),
+        )
+    report = CalibrationReport(
+        command=args.command,
+        headers=headers,
+        rows=tuple(rows),
+        params=_rate_block(fit) + block,
         timings=(("rates", _timing(res.elapsed)),),
         config_echo=(("curve", args.curve),),
     )
-    _emit(report, args.out)
-    return 0 if res.converged else 3
+    return report, 0 if res.converged else 3
 
 
-def _pipeline_report(args, command: str, with_survival: bool) -> tuple[CalibrationReport, bool]:
+def _cmd_pipeline(args) -> tuple[CalibrationReport, int]:
+    """calibrate-cds; full-pipeline adds market and model survival columns."""
     curve = load_discount_curve(_require(args.curve, "--curve"))
     quotes = load_cds_quotes(_require(args.quotes, "--quotes"))
     config = _effective_config(args)
@@ -201,45 +189,35 @@ def _pipeline_report(args, command: str, with_survival: bool) -> tuple[Calibrati
         curve, quotes, config, weights=args.weights, correlated=correlated
     )
     model_spreads = [s for _, s in result.repriced]
-    if with_survival:
-        q_market = bootstrap_survival(quotes, config.recovery, mode="standard")
-        leg = result.model.intensity_leg()
-        q_model = survival_approx(leg, np.asarray(quotes.tenors), order=config.order)
-        rows = tuple(
-            (f"{T:g}", f"{mkt:.3f}", fmt_bps(mod), relative_error_pct(1e4 * mod, mkt),
-             fmt_prob(qm), fmt_prob(qe))
-            for T, mkt, mod, qm, qe in zip(
-                quotes.tenors, quotes.mid_bps, model_spreads, q_market, np.atleast_1d(q_model)
-            )
-        )
-        headers = ("tenor", "market_bps", "model_bps", "rel_error_pct",
-                   "survival_market", "survival_model")
-    else:
-        rows = _model_table_rows(quotes.tenors, quotes.mid_bps, model_spreads)
-        headers = ("tenor", "market_bps", "model_bps", "rel_error_pct")
+    headers = ("tenor", "market_bps", "model_bps", "rel_error_pct")
+    rows = tuple(
+        (f"{T:g}", f"{mkt:.3f}", fmt_bps(mod), relative_error_pct(1e4 * mod, mkt))
+        for T, mkt, mod in zip(quotes.tenors, quotes.mid_bps, model_spreads)
+    )
     m = result.model
+    if args.command == "full-pipeline":
+        q_market = bootstrap_survival(quotes, config.recovery, mode="standard")
+        q_model = survival_approx(m.intensity_leg(), np.asarray(quotes.tenors), order=config.order)
+        headers += ("survival_market", "survival_model")
+        rows = tuple(
+            row + (fmt_prob(qm), fmt_prob(qe))
+            for row, qm, qe in zip(rows, q_market, np.atleast_1d(q_model))
+        )
     worst = max(
         abs(1e4 * mod - mkt) for mod, mkt in zip(model_spreads, quotes.mid_bps)
     )
+    converged = result.rates.converged and result.credit.converged
     report = CalibrationReport(
-        command=command,
+        command=args.command,
         headers=headers,
         rows=rows,
-        params=(
-            ("alpha1", fmt_param(m.alpha1)),
-            ("beta1", fmt_param(m.beta1)),
-            ("sigma1", fmt_param(m.sigma1)),
-            ("r0", fmt_param(m.r0)),
+        params=_rate_block(m.rate_leg()) + (
             ("sigma1_hat", fmt_param(m.sigma1_hat)),
             ("vol_branch", result.vol.branch),
-            ("alpha2", fmt_param(m.alpha2)),
-            ("beta2", fmt_param(m.beta2)),
-            ("sigma2", fmt_param(m.sigma2)),
-            ("lambda0", fmt_param(m.lambda0)),
-            ("rho", fmt_param(m.rho)),
+        ) + _param_block(m, _PARAM_KEYS[4:]) + (
             ("objective", f"{result.credit.objective:.6e}"),
             ("iterations", str(result.credit.iterations)),
-            ("converged", str(result.rates.converged and result.credit.converged).lower()),
+            ("converged", str(converged).lower()),
             ("max_abs_error_bps", f"{worst:.3f}"),
         ),
         timings=tuple((stage, _timing(seconds)) for stage, seconds in result.timings),
@@ -248,22 +226,10 @@ def _pipeline_report(args, command: str, with_survival: bool) -> tuple[Calibrati
             curve=args.curve, quotes=args.quotes,
         ),
     )
-    return report, result.rates.converged and result.credit.converged
+    return report, 0 if converged else 3
 
 
-def _cmd_calibrate_cds(args) -> int:
-    report, converged = _pipeline_report(args, "calibrate-cds", with_survival=False)
-    _emit(report, args.out)
-    return 0 if converged else 3
-
-
-def _cmd_full_pipeline(args) -> int:
-    report, converged = _pipeline_report(args, "full-pipeline", with_survival=True)
-    _emit(report, args.out)
-    return 0 if converged else 3
-
-
-def _cmd_price(args) -> int:
+def _cmd_price(args) -> tuple[CalibrationReport, int]:
     params = _load_params(_require(args.params, "--params"))
     tenors = _parse_tenors(_require(args.tenors, "--tenors"))
     config = _effective_config(args)
@@ -273,14 +239,13 @@ def _cmd_price(args) -> int:
         command="price",
         headers=("tenor", "spread_bps"),
         rows=rows,
-        params=tuple((k, fmt_param(getattr(params, k))) for k in _PARAM_KEYS),
+        params=_param_block(params),
         config_echo=_config_echo(config, params=args.params),
     )
-    _emit(report, args.out)
-    return 0
+    return report, 0
 
 
-def _cmd_survival(args) -> int:
+def _cmd_survival(args) -> tuple[CalibrationReport, int]:
     params = _load_params(_require(args.params, "--params"))
     tenors = _parse_tenors(_require(args.tenors, "--tenors"))
     config = _effective_config(args)
@@ -291,20 +256,13 @@ def _cmd_survival(args) -> int:
         command="survival",
         headers=("tenor", "survival"),
         rows=rows,
-        params=(
-            ("alpha2", fmt_param(params.alpha2)),
-            ("beta2", fmt_param(params.beta2)),
-            ("sigma2", fmt_param(params.sigma2)),
-            ("lambda0", fmt_param(params.lambda0)),
-            ("order", str(config.order)),
-        ),
+        params=_param_block(params, _PARAM_KEYS[4:8]) + (("order", str(config.order)),),
         config_echo=_config_echo(config, params=args.params),
     )
-    _emit(report, args.out)
-    return 0
+    return report, 0
 
 
-def _cmd_bootstrap(args) -> int:
+def _cmd_bootstrap(args) -> tuple[CalibrationReport, int]:
     quotes = load_cds_quotes(_require(args.quotes, "--quotes"))
     config = _effective_config(args)
     with warnings.catch_warnings(record=True) as caught:
@@ -322,11 +280,10 @@ def _cmd_bootstrap(args) -> int:
         config_echo=_config_echo(config, quotes=args.quotes),
         notes=tuple(str(w.message) for w in caught),
     )
-    _emit(report, args.out)
-    return 0
+    return report, 0
 
 
-def _cmd_mc_check(args) -> int:
+def _cmd_mc_check(args) -> tuple[CalibrationReport, int]:
     params = _load_params(_require(args.params, "--params"))
     tenors = _parse_tenors(_require(args.tenors, "--tenors"))
     config = _effective_config(args)
@@ -358,15 +315,14 @@ def _cmd_mc_check(args) -> int:
         command="mc-check",
         headers=("tenor", "target", "mc_estimate", "std_error", "model", "z"),
         rows=tuple(rows),
-        params=tuple((k, fmt_param(getattr(params, k))) for k in _PARAM_KEYS),
+        params=_param_block(params),
         config_echo=_config_echo(
             config, params=args.params, paths=args.paths, step=args.step,
             seed=args.seed, antithetic=True,
         ),
         notes=tuple(notes),
     )
-    _emit(report, args.out)
-    return 0
+    return report, 0
 
 
 # --------------------------------------------------------------------------
@@ -399,11 +355,11 @@ _CALIBRATION_FLAGS = "curve quotes config order weights correlated out"
 _MODEL_FLAGS = "params tenors config order out"
 
 _COMMANDS = (
-    ("calibrate-rates", _cmd_calibrate_rates, "curve out",
+    ("calibrate-rates", _cmd_rates, "curve out",
      "fit the rate factor to discount pillars"),
-    ("match-vol", _cmd_match_vol, "curve quotes tmax out",
+    ("match-vol", _cmd_rates, "curve quotes tmax out",
      "matched rate volatility at the longest tenor"),
-    ("calibrate-cds", _cmd_calibrate_cds, _CALIBRATION_FLAGS,
+    ("calibrate-cds", _cmd_pipeline, _CALIBRATION_FLAGS,
      "three-step calibration to CDS quotes"),
     ("price", _cmd_price, _MODEL_FLAGS, "price a spread curve from explicit parameters"),
     ("survival", _cmd_survival, _MODEL_FLAGS,
@@ -412,7 +368,7 @@ _COMMANDS = (
      "market-implied survival from quotes alone"),
     ("mc-check", _cmd_mc_check, "params tenors config order paths step seed out",
      "Monte Carlo cross-check of expansion values"),
-    ("full-pipeline", _cmd_full_pipeline, _CALIBRATION_FLAGS,
+    ("full-pipeline", _cmd_pipeline, _CALIBRATION_FLAGS,
      "calibrate, reprice at order 2, and compare survival curves"),
 )
 
@@ -435,7 +391,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        _emit(report, args.out)
+        return code
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2

@@ -173,6 +173,8 @@ class CdsQuoteSet:
             raise MarketDataError("quote column length mismatch")
         prev = 0.0
         for t, b, a, m in zip(self.tenors, self.bid_bps, self.ask_bps, self.mid_bps):
+            if not math.isfinite(t):
+                raise MarketDataError(f"non-finite tenor {t}")
             if t <= prev:
                 raise MarketDataError(f"tenors not strictly ascending/positive at {t}")
             prev = t
@@ -320,34 +322,24 @@ def _year_fraction(d1: _dt.date, d2: _dt.date, day_count: str) -> float:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Premium payment grid: times in years from valuation, t0 = 0 implicit.
-
-    ``accruals[i]`` is the year fraction of (times[i-1], times[i]].
-    """
+    """Premium payment grid: times in years from valuation, t0 = 0 implicit."""
 
     times: tuple[float, ...]
-    accruals: tuple[float, ...]
-    valuation: _dt.date | None = None
     dates: tuple[_dt.date, ...] | None = None
 
     def __post_init__(self):
         if not self.times:
             raise MarketDataError("schedule has no payment dates")
-        if len(self.times) != len(self.accruals):
-            raise MarketDataError("times/accruals length mismatch")
         prev = 0.0
-        for t, a in zip(self.times, self.accruals):
-            if t <= prev:
+        for t in self.times:
+            if not t > prev:
                 raise MarketDataError("payment times must be strictly increasing and > 0")
-            if abs(a - (t - prev)) > 1e-12:
-                raise MarketDataError("accrual inconsistent with payment times")
             prev = t
 
-    def is_prefix_of(self, other: "Schedule") -> bool:
-        n = len(self.times)
-        if n > len(other.times):
-            return False
-        return all(abs(a - b) < 1e-12 for a, b in zip(self.times, other.times[:n]))
+    @property
+    def accruals(self) -> tuple[float, ...]:
+        """Year fraction of each period (times[i-1], times[i]]."""
+        return tuple(t - p for t, p in zip(self.times, (0.0,) + self.times[:-1]))
 
 
 def _roll_dates_after(start: _dt.date, frequency_months: int) -> "iter":
@@ -373,10 +365,11 @@ def build_schedule(valuation: _dt.date | None, tenor_years: float, config: Prici
     at or beyond valuation+tenor; it requires a valuation date.  Anniversary
     mode steps in multiples of
     the payment frequency from valuation; without a valuation date it works
-    on an abstract year-fraction grid (accruals equal time differences).
+    on an abstract year-fraction grid.  A tenor that is not positive and
+    finite is a :class:`MarketDataError`.
     """
-    if tenor_years <= 0:
-        raise MarketDataError("tenor must be positive")
+    if not 0.0 < tenor_years < math.inf:
+        raise MarketDataError(f"tenor must be positive and finite, got {tenor_years}")
     fm = config.frequency_months
     if config.roll == "anniversary":
         if valuation is None:
@@ -385,8 +378,7 @@ def build_schedule(valuation: _dt.date | None, tenor_years: float, config: Prici
             times = [k * delta for k in range(1, n_full + 1)]
             if not times or times[-1] < tenor_years - 1e-9:
                 times.append(tenor_years)
-            accruals = [t - p for t, p in zip(times, [0.0] + times[:-1])]
-            return Schedule(times=tuple(times), accruals=tuple(accruals))
+            return Schedule(times=tuple(times))
         months_total = tenor_years * 12.0
         if abs(months_total - round(months_total)) > 1e-9:
             raise MarketDataError("dated anniversary schedules need whole-month tenors")
@@ -408,5 +400,4 @@ def build_schedule(valuation: _dt.date | None, tenor_years: float, config: Prici
             if d >= nominal_end:
                 break
     times = [_year_fraction(valuation, d, config.day_count) for d in dates]
-    accruals = [t - p for t, p in zip(times, [0.0] + times[:-1])]
-    return Schedule(times=tuple(times), accruals=tuple(accruals), valuation=valuation, dates=tuple(dates))
+    return Schedule(times=tuple(times), dates=tuple(dates))

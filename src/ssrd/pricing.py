@@ -109,7 +109,7 @@ def _strip(valuation, tenors, config: PricingConfig) -> tuple[Schedule, list[int
     """Longest schedule and each tenor's prefix length on it; None off one grid."""
     schedules = [build_schedule(valuation, float(T), config) for T in tenors]
     longest = max(schedules, key=lambda s: len(s.times))
-    if not all(s.is_prefix_of(longest) for s in schedules):
+    if not all(s.times == longest.times[:len(s.times)] for s in schedules):
         return None
     return longest, [len(s.times) for s in schedules]
 

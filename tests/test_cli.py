@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -320,6 +322,63 @@ def test_nonconverged_calibration_exits_three(market_dir, capsys, monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# One report path: what a command prints is what it writes
+# --------------------------------------------------------------------------
+
+COMMANDS = ("calibrate-rates", "match-vol", "calibrate-cds", "price",
+            "survival", "bootstrap", "mc-check", "full-pipeline")
+
+
+@pytest.fixture(scope="module")
+def reports(market_dir, tmp_path_factory):
+    """Every subcommand run once with --out: its exit code, stdout and report directory."""
+    curve, quotes, config, params = (
+        str(market_dir / f) for f in ("curve.csv", "quotes.csv", "config.txt", "params.txt")
+    )
+    calibration = ["--curve", curve, "--quotes", quotes, "--config", config]
+    argv = {
+        "calibrate-rates": ["--curve", curve],
+        "match-vol": ["--curve", curve, "--quotes", quotes],
+        "calibrate-cds": calibration,
+        "price": ["--params", params, "--config", config, "--tenors", "1,2.5,5"],
+        "survival": ["--params", params, "--config", config, "--tenors", "1,3"],
+        "bootstrap": ["--quotes", quotes, "--config", config],
+        "mc-check": ["--params", params, "--config", config, "--tenors", "1,3",
+                     "--paths", "400", "--step", "0.05"],
+        "full-pipeline": calibration,
+    }
+    runs = {}
+    for command in COMMANDS:
+        out = tmp_path_factory.mktemp(command)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = run_cli(command, *argv[command], "--out", str(out))
+        runs[command] = code, stdout.getvalue(), out
+    return runs
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_prints_the_report_it_writes(reports, command):
+    code, stdout, out = reports[command]
+    assert code == 0
+    assert stdout.startswith(f"== {command} ==")
+    assert (out / f"{command}.txt").read_text() == stdout
+    assert (out / f"{command}.csv").is_file()
+    assert json.loads((out / f"{command}.json").read_text())["command"] == command
+
+
+def test_full_pipeline_is_calibrate_cds_plus_survival(reports):
+    cds, full = (reports[c][2] / c for c in ("calibrate-cds", "full-pipeline"))
+    cds_rows = [ln.split(",") for ln in cds.with_suffix(".csv").read_text().splitlines()]
+    full_rows = [ln.split(",") for ln in full.with_suffix(".csv").read_text().splitlines()]
+    assert [row[:4] for row in full_rows] == cds_rows
+    assert full_rows[0][4:] == ["survival_market", "survival_model"]
+    params = [list(json.loads(p.with_suffix(".json").read_text())["params"].items())
+              for p in (cds, full)]
+    assert params[0] == params[1]
+
+
+# --------------------------------------------------------------------------
 # Input-error paths (exit 2)
 # --------------------------------------------------------------------------
 
@@ -371,6 +430,17 @@ def test_frequency_that_does_not_divide_a_year_exits_two(market_dir, tmp_path, c
                        "--config", str(config), "--tenors", "1")
         assert code == 2
         assert "frequency_months must divide a year" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tenor", ["nan", "inf"])
+def test_non_finite_quote_tenor_exits_two(market_dir, tmp_path, capsys, tenor):
+    quotes = tmp_path / "quotes.csv"
+    quotes.write_text(f"1,20,21\n{tenor},30,31\n")
+    for argv in (("bootstrap", "--quotes", str(quotes)),
+                 ("calibrate-cds", "--curve", str(market_dir / "curve.csv"),
+                  "--quotes", str(quotes), "--config", str(market_dir / "config.txt"))):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: non-finite tenor {tenor}\n"
 
 
 def test_missing_required_flag(capsys):

@@ -20,6 +20,7 @@ from ssrd.market import (
     load_discount_curve,
     load_pricing_config,
 )
+from ssrd.pricing import _strip
 
 # --------------------------------------------------------------------------
 # Discount curve
@@ -122,6 +123,8 @@ def test_quotes_fourth_column_overrides_midpoint(tmp_path):
         ("1.0,-5.0,22.0\n", "bad quote"),
         ("# valuation=notadate\n1.0,20.0,22.0\n", "valuation"),
         ("", "no data rows"),
+        ("1.0,20.0,22.0\nnan,30.0,31.0\n", "non-finite tenor"),
+        ("1.0,20.0,22.0\ninf,30.0,31.0\n", "non-finite tenor"),
     ],
 )
 def test_quotes_loader_rejects_malformed_files(tmp_path, body, fragment):
@@ -311,6 +314,12 @@ def test_schedule_rejects_nonpositive_tenor():
         build_schedule(None, 0.0, cfg)
     with pytest.raises(MarketDataError):
         build_schedule(None, -1.0, cfg)
+    # nor a non-finite one, on any roll, dated or not
+    for roll, valuation in (("anniversary", None), ("anniversary", dt.date(2004, 3, 10)),
+                            ("fixed", dt.date(2004, 3, 10))):
+        for tenor in (math.nan, math.inf):
+            with pytest.raises(MarketDataError, match="positive and finite"):
+                build_schedule(valuation, tenor, PricingConfig(roll=roll))
 
 
 def test_dated_anniversary_needs_whole_month_tenor():
@@ -326,20 +335,26 @@ def test_add_months_clamps_to_month_end():
 
 
 def test_schedule_prefix_relation():
+    # a strip prices on its longest schedule when every other one is a prefix of it
     cfg = PricingConfig(roll="anniversary")
-    short = build_schedule(None, 2.0, cfg)
     long = build_schedule(None, 5.0, cfg)
-    stub = build_schedule(None, 2.25, cfg)
-    assert short.is_prefix_of(long)
-    assert not long.is_prefix_of(short)
-    assert not stub.is_prefix_of(long)
-    assert short.is_prefix_of(short)
+    assert _strip(None, [2.0, 5.0], cfg) == (long, [4, 10])
+    assert _strip(None, [5.0, 2.0], cfg) == (long, [10, 4])
+    assert _strip(None, [2.0, 2.0], cfg) == (build_schedule(None, 2.0, cfg), [4, 4])
+    assert _strip(None, [2.25, 5.0], cfg) is None
+
+    val = dt.date(2004, 3, 10)
+    fixed = PricingConfig(roll="fixed", valuation=val)
+    longest, ends = _strip(val, [1.0, 3.0, 5.0], fixed)
+    assert longest == build_schedule(val, 5.0, fixed)
+    assert ends == [len(build_schedule(val, t, fixed).times) for t in (1.0, 3.0, 5.0)]
 
 
 def test_schedule_validation():
     with pytest.raises(MarketDataError):
-        Schedule(times=(), accruals=())
+        Schedule(times=())
     with pytest.raises(MarketDataError):
-        Schedule(times=(1.0, 0.5), accruals=(1.0, -0.5))
+        Schedule(times=(1.0, 0.5))
     with pytest.raises(MarketDataError):
-        Schedule(times=(0.5, 1.0), accruals=(0.5, 0.7))
+        Schedule(times=(0.0, 0.5))
+    assert Schedule(times=(0.5, 1.0, 1.25)).accruals == (0.5, 0.5, 0.25)
