@@ -369,7 +369,7 @@ _COMMANDS = (
     ("mc-check", _cmd_mc_check, "params tenors config order paths step seed out",
      "Monte Carlo cross-check of expansion values"),
     ("full-pipeline", _cmd_pipeline, _CALIBRATION_FLAGS,
-     "calibrate, reprice at order 2, and compare survival curves"),
+     "calibrate, reprice at the config order, and compare survival curves"),
 )
 
 

@@ -150,9 +150,12 @@ def _psi_theta(a, t):
     (a scalar, or a column with one row per leg), psi evaluated once.
 
     theta is (t - psi) / a, which is what ``timeint.theta`` computes on its
-    direct branch: E(0, t) = t and E(-a, t) = psi there.  Where |a t| < 1e-5
-    that difference cancels, and the series t^2 (1/2 - a t/6 + (a t)^2/24)
-    takes over; its first omitted term is (a t)^3/60 relative.
+    direct branch: E(0, t) = t and E(-a, t) = psi there.  That difference
+    cancels as a t -> 0: against 60-digit ``decimal`` it is off by up to
+    about 4e-11 relative for |a t| in [1e-5, 1e-4], 4e-12 in [1e-4, 1e-3],
+    and tenfold less per decade above.  Below |a t| = 1e-5 the series
+    t^2 (1/2 - a t/6 + (a t)^2/24) takes over; its first omitted term is
+    (a t)^3/60 relative, and it holds 1e-15.
     """
     w = psi(-a, 0.0, t)
     at = a * t

@@ -11,7 +11,8 @@ File formats are deliberately plain text so fixtures stay diffable:
                    Missing mid defaults to (bid+ask)/2.
 * config        -- flat ``key=value`` lines (recovery, frequency_months,
                    roll, day_count, quad_nodes, order, valuation); ``#``
-                   lines are comments and a repeated key is an error.
+                   lines are comments.  Every key, CSV headers included,
+                   is lower-cased, and a key given twice is an error.
 
 Fixed-roll coupons fall on the 20th of every month m where 12 - m is a
 multiple of ``frequency_months``: Jun/Dec 20 at the default 6 months,
@@ -90,22 +91,17 @@ class DiscountCurve:
         return np.asarray(self.tenors), np.asarray(self.dfs)
 
 
-def _parse_comment_headers(lines):
-    """Split '# key=value' comment headers from data lines."""
-    meta: dict[str, str] = {}
-    data = []
-    for ln_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                meta[key.strip().lower()] = val.strip()
-            continue
-        data.append((ln_no, line))
-    return meta, data
+def _put_key_value(items: dict[str, str], line: str, where: str) -> str:
+    """Store a ``key=value`` line under its lower-cased key and return the key.
+
+    The one rule for CSV headers, config and params: a repeated key is an error.
+    """
+    key, _, val = line.partition("=")
+    key = key.strip().lower()
+    if key in items:
+        raise MarketDataError(f"{where}: repeated key {key!r}")
+    items[key] = val.strip()
+    return key
 
 
 def _parse_float(token: str, where: str) -> float:
@@ -115,38 +111,71 @@ def _parse_float(token: str, where: str) -> float:
         raise MarketDataError(f"non-numeric value {token!r} in {where}") from None
 
 
+def _parse_date(token: str, where: str) -> _dt.date:
+    try:
+        return _dt.date.fromisoformat(token)
+    except ValueError:
+        raise MarketDataError(f"{where}: bad valuation date") from None
+
+
+def _read_csv(path, kind: str, widths: tuple[int, ...]):
+    """A CSV file's ``# key=value`` headers and a generator of its data rows.
+
+    Other ``#`` lines are comments, a ``tenor``/``tenor_years`` row a column
+    header.  The generator yields ``(where, floats)`` for rows of one of
+    ``widths`` numeric cells and raises on any other row or when there is
+    none; it runs only when iterated, so a loader checks headers first.
+    """
+    meta: dict[str, str] = {}
+    data = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for ln_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line.startswith("#"):
+                body = line.lstrip("#").strip()
+                if "=" in body:
+                    _put_key_value(meta, body, f"{kind} {path}:{ln_no}")
+            elif line:
+                cells = [c.strip() for c in line.split(",")]
+                if cells[0].lower() not in ("tenor_years", "tenor"):
+                    data.append((f"{path}:{ln_no}", cells))
+
+    def rows():
+        if not data:
+            raise MarketDataError(f"{kind} {path}: no data rows")
+        for where, cells in data:
+            if len(cells) not in widths:
+                expected = " or ".join(map(str, widths))
+                raise MarketDataError(f"{kind} {where}: expected {expected} columns")
+            yield where, [_parse_float(c, where) for c in cells]
+
+    return meta, rows()
+
+
 def load_discount_curve(path) -> DiscountCurve:
     """Read a curve CSV in the mode its ``# mode=`` header names."""
-    with open(path, "r", encoding="utf-8") as fh:
-        meta, rows = _parse_comment_headers(fh)
+    meta, rows = _read_csv(path, "curve", (2,))
     mode = meta.get("mode", "").lower()
     if mode not in ("rate", "df"):
         raise MarketDataError(f"curve {path}: mode must be 'rate' or 'df', got {mode!r}")
     tenors, values = [], []
-    for ln_no, line in rows:
-        cells = [c.strip() for c in line.split(",")]
-        if cells[0].lower() in ("tenor_years", "tenor"):
-            continue  # tolerated header row
-        if len(cells) != 2:
-            raise MarketDataError(f"curve {path}:{ln_no}: expected 2 columns")
-        t = _parse_float(cells[0], f"{path}:{ln_no}")
-        v = _parse_float(cells[1], f"{path}:{ln_no}")
+    for where, (t, v) in rows:
         if t in tenors:
-            raise MarketDataError(f"curve {path}:{ln_no}: duplicate tenor {t}")
+            raise MarketDataError(f"curve {where}: duplicate tenor {t}")
         tenors.append(t)
         values.append(v)
-    if not tenors:
-        raise MarketDataError(f"curve {path}: no data rows")
     order = np.argsort(tenors)
     tenors = [tenors[i] for i in order]
-    values = [values[i] for i in order]
-    if mode == "rate":
-        dfs = [math.exp(-z * t) for t, z in zip(tenors, values)]
-    else:
-        dfs = values
-    r0 = None
-    if "r0" in meta:
-        r0 = _parse_float(meta["r0"], f"{path} header r0")
+    dfs = [values[i] for i in order]
+    if mode == "rate":  # the values are zero rates
+        for i, (t, z) in enumerate(zip(tenors, dfs)):
+            try:
+                dfs[i] = math.exp(-z * t)
+            except OverflowError:
+                raise MarketDataError(
+                    f"curve {path}: rate {z} at {t}y overflows its discount factor"
+                ) from None
+    r0 = _parse_float(meta["r0"], f"{path} header r0") if "r0" in meta else None
     return DiscountCurve(tenors=tuple(tenors), dfs=tuple(dfs), short_rate=r0)
 
 
@@ -190,33 +219,16 @@ class CdsQuoteSet:
 
 
 def load_cds_quotes(path) -> CdsQuoteSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        meta, rows = _parse_comment_headers(fh)
-    tenors, bids, asks, mids = [], [], [], []
-    for ln_no, line in rows:
-        cells = [c.strip() for c in line.split(",")]
-        if cells[0].lower() in ("tenor_years", "tenor"):
-            continue
-        if len(cells) not in (3, 4):
-            raise MarketDataError(f"quotes {path}:{ln_no}: expected 3 or 4 columns")
-        vals = [_parse_float(c, f"{path}:{ln_no}") for c in cells]
-        tenors.append(vals[0])
-        bids.append(vals[1])
-        asks.append(vals[2])
-        mids.append(vals[3] if len(vals) == 4 else 0.5 * (vals[1] + vals[2]))
-    if not tenors:
-        raise MarketDataError(f"quotes {path}: no data rows")
-    valuation = None
-    if "valuation" in meta:
-        try:
-            valuation = _dt.date.fromisoformat(meta["valuation"])
-        except ValueError:
-            raise MarketDataError(f"quotes {path}: bad valuation date") from None
+    meta, rows = _read_csv(path, "quotes", (3, 4))
+    tenors, bids, asks, mids = zip(*(
+        (t, b, a, rest[0] if rest else 0.5 * (b + a)) for _, (t, b, a, *rest) in rows
+    ))
+    valuation = _parse_date(meta["valuation"], f"quotes {path}") if "valuation" in meta else None
     return CdsQuoteSet(
-        tenors=tuple(tenors),
-        bid_bps=tuple(bids),
-        ask_bps=tuple(asks),
-        mid_bps=tuple(mids),
+        tenors=tenors,
+        bid_bps=bids,
+        ask_bps=asks,
+        mid_bps=mids,
         currency=meta.get("currency", "USD"),
         valuation=valuation,
     )
@@ -261,11 +273,8 @@ class PricingConfig:
 
 
 def _read_key_values(path, kind: str, keys) -> dict[str, str]:
-    """Lower-cased keys and their values in file order; ``#`` lines are comments.
-
-    A key given twice is an error, not a silent override.
-    """
-    items = {}
+    """Lower-cased keys and their values in file order; ``#`` lines are comments."""
+    items: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -273,13 +282,9 @@ def _read_key_values(path, kind: str, keys) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise MarketDataError(f"{kind} {path}:{ln_no}: expected key=value")
-            key, _, val = line.partition("=")
-            key = key.strip().lower()
+            key = _put_key_value(items, line, f"{kind} {path}:{ln_no}")
             if key not in keys:
                 raise MarketDataError(f"{kind} {path}: unknown key {key!r}")
-            if key in items:
-                raise MarketDataError(f"{kind} {path}:{ln_no}: repeated key {key!r}")
-            items[key] = val.strip()
     return items
 
 
@@ -294,10 +299,7 @@ def load_pricing_config(path) -> PricingConfig:
             except ValueError:
                 raise MarketDataError(f"config {path}: {key} must be an integer") from None
         elif key == "valuation":
-            try:
-                kw[key] = _dt.date.fromisoformat(val)
-            except ValueError:
-                raise MarketDataError(f"config {path}: bad valuation date") from None
+            kw[key] = _parse_date(val, f"config {path}")
         else:
             kw[key] = val
     return PricingConfig(**kw)
@@ -308,9 +310,14 @@ def load_pricing_config(path) -> PricingConfig:
 # --------------------------------------------------------------------------
 
 def add_months(d: _dt.date, months: int) -> _dt.date:
-    """Calendar-month shift with end-of-month day clamping."""
+    """Calendar-month shift with end-of-month day clamping.
+
+    A date past 9999-12-31 is a :class:`MarketDataError`.
+    """
     y, m0 = divmod(d.month - 1 + months, 12)
     year, month = d.year + y, m0 + 1
+    if year > _dt.MAXYEAR:
+        raise MarketDataError(f"{months} months after {d} is past {_dt.date.max}")
     day = min(d.day, calendar.monthrange(year, month)[1])
     return _dt.date(year, month, day)
 
@@ -343,18 +350,22 @@ class Schedule:
 
 
 def _roll_dates_after(start: _dt.date, frequency_months: int) -> "iter":
-    """Yield fixed-roll dates strictly after ``start``, ascending.
+    """Yield fixed-roll dates strictly after ``start``, ascending, up to 9999.
 
     The frequency divides 12, so the months m with 12 - m a multiple of it
     are its multiples.
     """
-    year = start.year - 1
-    while True:
+    for year in range(start.year - 1, _dt.MAXYEAR + 1):
         for month in range(frequency_months, 13, frequency_months):
             d = _dt.date(year, month, 20)
             if d > start:
                 yield d
-        year += 1
+
+
+def _past_last_date(valuation: _dt.date, tenor_years: float) -> MarketDataError:
+    return MarketDataError(
+        f"a {tenor_years:g}y schedule from {valuation} runs past {_dt.date.max}"
+    )
 
 
 def build_schedule(valuation: _dt.date | None, tenor_years: float, config: PricingConfig) -> Schedule:
@@ -366,10 +377,14 @@ def build_schedule(valuation: _dt.date | None, tenor_years: float, config: Prici
     mode steps in multiples of
     the payment frequency from valuation; without a valuation date it works
     on an abstract year-fraction grid.  A tenor that is not positive and
-    finite is a :class:`MarketDataError`.
+    finite, or dates past 9999-12-31, are a :class:`MarketDataError`.
     """
     if not 0.0 < tenor_years < math.inf:
         raise MarketDataError(f"tenor must be positive and finite, got {tenor_years}")
+    # a tenor a year longer than the days left runs past them on every rule;
+    # the checks below find the exact limit
+    if valuation is not None and (tenor_years - 1.0) * 365.0 > (_dt.date.max - valuation).days:
+        raise _past_last_date(valuation, tenor_years)
     fm = config.frequency_months
     if config.roll == "anniversary":
         if valuation is None:
@@ -383,9 +398,10 @@ def build_schedule(valuation: _dt.date | None, tenor_years: float, config: Prici
         if abs(months_total - round(months_total)) > 1e-9:
             raise MarketDataError("dated anniversary schedules need whole-month tenors")
         months_total = int(round(months_total))
+        end = add_months(valuation, months_total)
         dates = [add_months(valuation, k) for k in range(fm, months_total + 1, fm)]
-        if not dates or dates[-1] < add_months(valuation, months_total):
-            dates.append(add_months(valuation, months_total))
+        if not dates or dates[-1] < end:
+            dates.append(end)
     else:
         if valuation is None:
             raise MarketDataError("fixed-roll schedules need a valuation date")
@@ -393,11 +409,16 @@ def build_schedule(valuation: _dt.date | None, tenor_years: float, config: Prici
         if abs(months_total - round(months_total)) < 1e-9:
             nominal_end = add_months(valuation, int(round(months_total)))
         else:
-            nominal_end = valuation + _dt.timedelta(days=round(tenor_years * 365))
+            days = round(tenor_years * 365)
+            if days > (_dt.date.max - valuation).days:
+                raise _past_last_date(valuation, tenor_years)
+            nominal_end = valuation + _dt.timedelta(days=days)
         dates = []
         for d in _roll_dates_after(valuation, fm):
             dates.append(d)
             if d >= nominal_end:
                 break
+        else:
+            raise _past_last_date(valuation, tenor_years)
     times = [_year_fraction(valuation, d, config.day_count) for d in dates]
     return Schedule(times=tuple(times), dates=tuple(dates))

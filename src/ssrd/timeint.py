@@ -8,8 +8,11 @@ The closed forms all share the primitive
 
 and its first two derivatives in ``a``.  Near ``a = 0`` the naive
 expressions cancel catastrophically, so each function switches to a short
-Taylor series; thresholds are chosen so the worst-case relative error of
-either branch stays below ~1e-12.
+Taylor series.  The switches do not hold ``theta`` to 1e-12: against
+60-digit ``decimal``, theta(-a, a, 0, t) is off by up to about 4e-11
+relative on its direct branch just above |a t| = 1e-5 (about 4e-12 in
+[1e-4, 1e-3], falling tenfold per decade), and by up to 8e-12 on its
+first-order series just below.
 """
 
 from __future__ import annotations

@@ -421,6 +421,32 @@ def test_repeated_key_in_a_key_value_file_exits_two(market_dir, tmp_path, capsys
     assert code == 2
     assert capsys.readouterr().err == f"error: params {params}:10: repeated key 'rho'\n"
 
+    quotes = tmp_path / "quotes.csv"
+    quotes.write_text("# currency=USD\n# Currency=EUR\n" + (market_dir / "quotes.csv").read_text())
+    assert run_cli("bootstrap", "--quotes", str(quotes)) == 2
+    assert capsys.readouterr().err == f"error: quotes {quotes}:2: repeated key 'currency'\n"
+
+
+def test_rate_curve_whose_discount_factor_overflows_exits_two(tmp_path, capsys):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("# mode=rate\n# r0=0.01\n1,0.02\n10,-100\n")
+    assert run_cli("calibrate-rates", "--curve", str(curve)) == 2
+    assert capsys.readouterr().err == (
+        f"error: curve {curve}: rate -100.0 at 10.0y overflows its discount factor\n"
+    )
+
+
+def test_dated_schedule_past_the_last_date_exits_two(market_dir, tmp_path, capsys):
+    config = tmp_path / "config.txt"
+    for roll in ("fixed", "anniversary"):
+        config.write_text(f"roll={roll}\nvaluation=2024-01-01\n")
+        code = run_cli("price", "--params", str(market_dir / "params.txt"),
+                       "--config", str(config), "--tenors", "8000")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: a 8000y schedule from 2024-01-01 runs past 9999-12-31\n"
+        )
+
 
 def test_frequency_that_does_not_divide_a_year_exits_two(market_dir, tmp_path, capsys):
     config = tmp_path / "config.txt"
@@ -540,6 +566,19 @@ def test_invalid_parameter_values_exit_two(market_dir, tmp_path, capsys):
     code = run_cli("price", "--params", str(p), "--tenors", "1.0")
     assert code == 2
     assert "correlation must lie in [-1, 1]" in capsys.readouterr().err
+
+
+def test_readme_synopsis_lists_the_flags_each_command_takes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    synopsis = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    listed = {}
+    for line in synopsis.splitlines():
+        code = line.split("#", 1)[0]  # the comments mention flags too
+        if code.split()[:1] == ["ssrd"]:
+            command = code.split()[1]
+            listed[command] = set()
+        listed[command].update(re.findall(r"--([a-z]+)", code))
+    assert listed == {name: set(flags.split()) for name, _, flags, _ in ssrd.cli._COMMANDS}
 
 
 def test_module_entry_point_runs():

@@ -76,6 +76,8 @@ def test_curve_save_load_round_trip_is_bit_exact(tmp_path):
         ("# mode=df\n-1.0,0.99\n", "negative tenor"),
         ("# mode=df\n# r0=-0.01\n1.0,0.99\n", r"r0 must be finite and non-negative, got -0\.01"),
         ("# mode=df\n# r0=nan\n1.0,0.99\n", "r0 must be finite"),
+        ("# mode=rate\n10,-100\n", r"rate -100\.0 at 10\.0y overflows"),
+        ("# mode=df\n# r0=0.01\n1.0,0.99\n# R0=0.02\n", r"curve .*:4: repeated key 'r0'"),
     ],
 )
 def test_curve_loader_rejects_malformed_files(tmp_path, body, fragment):
@@ -125,6 +127,8 @@ def test_quotes_fourth_column_overrides_midpoint(tmp_path):
         ("", "no data rows"),
         ("1.0,20.0,22.0\nnan,30.0,31.0\n", "non-finite tenor"),
         ("1.0,20.0,22.0\ninf,30.0,31.0\n", "non-finite tenor"),
+        ("# valuation=2004-03-10\n# valuation=2004-03-11\n1.0,20.0,22.0\n",
+         r"quotes .*:2: repeated key 'valuation'"),
     ],
 )
 def test_quotes_loader_rejects_malformed_files(tmp_path, body, fragment):
@@ -132,6 +136,36 @@ def test_quotes_loader_rejects_malformed_files(tmp_path, body, fragment):
     p.write_text(body)
     with pytest.raises(MarketDataError, match=fragment):
         load_cds_quotes(p)
+
+
+@pytest.mark.parametrize(
+    "loader,body,message",
+    [
+        # headers are judged before rows, rows in file order, "no data rows"
+        # after the rows, then the header values, then the loaded object
+        (load_discount_curve, "", "curve {p}: mode must be 'rate' or 'df', got ''"),
+        (load_discount_curve, "x,y,z\n", "curve {p}: mode must be 'rate' or 'df', got ''"),
+        (load_discount_curve, "# mode=df\n# r0=abc\ntenor,value\n", "curve {p}: no data rows"),
+        (load_discount_curve, "# mode=df\n1.0,0.9,9\n1.0,abc\n",
+         "curve {p}:2: expected 2 columns"),
+        (load_discount_curve, "# mode=df\n1.0,0.9\n1.0,0.8\n2.0,abc\n",
+         "curve {p}:3: duplicate tenor 1.0"),
+        (load_discount_curve, "# mode=df\n# r0=abc\n1.0,1.7\n",
+         "non-numeric value 'abc' in {p} header r0"),
+        (load_discount_curve, "# mode=rate\n# r0=abc\n10,-100\n",
+         "curve {p}: rate -100.0 at 10.0y overflows its discount factor"),
+        (load_cds_quotes, "# valuation=bad\ntenor,bid,ask\n", "quotes {p}: no data rows"),
+        (load_cds_quotes, "# valuation=bad\n1.0,x,22.0\n1.0,20.0\n",
+         "non-numeric value 'x' in {p}:2"),
+        (load_cds_quotes, "# valuation=bad\n1.0,22.0,20.0\n", "quotes {p}: bad valuation date"),
+    ],
+)
+def test_loaders_report_the_first_error_in_a_fixed_order(tmp_path, loader, body, message):
+    p = tmp_path / "input.csv"
+    p.write_text(body)
+    with pytest.raises(MarketDataError) as exc:
+        loader(p)
+    assert str(exc.value) == message.format(p=p)
 
 
 def test_quotes_equal_bid_ask_requires_equal_mid():
@@ -320,6 +354,20 @@ def test_schedule_rejects_nonpositive_tenor():
         for tenor in (math.nan, math.inf):
             with pytest.raises(MarketDataError, match="positive and finite"):
                 build_schedule(valuation, tenor, PricingConfig(roll=roll))
+    # nor one whose dates run past 9999-12-31, which is exactly where it stops
+    val = dt.date(2024, 1, 1)
+    for roll in ("fixed", "anniversary"):
+        cfg = PricingConfig(roll=roll, valuation=val)
+        assert build_schedule(val, 7975.5, cfg).dates[-1].year == 9999
+        for tenor in (7976.0, 8000.0, 1e300):
+            with pytest.raises(MarketDataError, match="past 9999-12-31"):
+                build_schedule(val, tenor, cfg)
+    fixed = PricingConfig(roll="fixed", valuation=val)
+    with pytest.raises(MarketDataError, match="past 9999-12-31"):
+        build_schedule(val, 8000.3, fixed)  # off whole months
+    late = dt.date(2024, 12, 25)  # nominal end 9999-12-25, after the last roll date
+    with pytest.raises(MarketDataError, match="past 9999-12-31"):
+        build_schedule(late, 7975.0, fixed)
 
 
 def test_dated_anniversary_needs_whole_month_tenor():
