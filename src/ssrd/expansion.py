@@ -28,10 +28,13 @@ against a decaying kernel e^{-a (u-s)}, so no factor grows with time:
     h2 = lbar(T) * v2
 
 with c11 and c22 the closed-form variances of each leg.  Every integral
-here and in the one-leg coefficients starts at time 0 and is a running
-integral, up to each maturity or grid node, on one Gauss-Legendre grid over
-[0, sorted maturities]; no quadrature is nested in another, and v2 is a
-running integral of running integrals.
+here starts at time 0 and is a running integral, up to each maturity or grid
+node, on one Gauss-Legendre grid over [0, sorted maturities]; no quadrature
+is nested in another, and v2 is a running integral of running integrals.
+
+The one-leg survival expansion (``proxy_bond_expansion``) needs no grid: its
+sigma^2 and sigma^4 coefficients are closed forms in alpha * tau, with
+Taylor series where those cancel.
 
 v0, the mean paths and the variances are all built from each leg's closed
 forms psi(-a, 0, t), e^{-a t} and theta(-a, a, 0, t).  These are evaluated
@@ -73,10 +76,6 @@ __all__ = [
 # the effective correlation) are floored, so a zero-correlation model is
 # never distorted.
 ANCHOR_FLOOR = 1e-10
-
-# Gauss-Legendre nodes for each integral in the one-leg sigma^2 coefficients.
-_BOND_NODES = 32
-
 
 # --------------------------------------------------------------------------
 # Parameters
@@ -344,6 +343,77 @@ def h_expansion(params: ModelParams, maturities, *, order: int = 2,
 # One-leg closed forms
 # --------------------------------------------------------------------------
 
+# B1(tau) = tau^3 g1(X), int_0^tau B1 = tau^4 G1(X), B2(tau) = tau^5 g2(X) and
+# int_0^tau B2 = tau^6 G2(X), with X = alpha tau and e = e^{-X}:
+#
+#     g1 = (2 X e - 1 + e^2) / (2 X^3)
+#     G1 = (5 - 2 X - 4 (X + 1) e - e^2) / (4 X^4)
+#     g2 = (2 - 2 X^2 e - 2 X e - 4 X e^2 + e - 2 e^2 - e^3) / (4 X^5)
+#     G2 = (6 X - 22 + 6 (X + 1) e^2 + 3 (2 X^2 + 6 X + 5) e + e^3) / (12 X^6)
+#
+# Each entry is (d, p, numerator) for numerator / (d X^p), the numerator a
+# sum of terms c X^k e^{-m X} given as (c, k, m).
+_NUMERATORS = (
+    (2, 3, ((2, 1, 1), (-1, 0, 0), (1, 0, 2))),
+    (4, 4, ((5, 0, 0), (-2, 1, 0), (-4, 1, 1), (-4, 0, 1), (-1, 0, 2))),
+    (4, 5, ((2, 0, 0), (-2, 2, 1), (-2, 1, 1), (-4, 1, 2), (1, 0, 1), (-2, 0, 2),
+            (-1, 0, 3))),
+    (12, 6, ((6, 1, 0), (-22, 0, 0), (6, 1, 2), (6, 0, 2), (6, 2, 1), (18, 1, 1),
+             (15, 0, 1), (1, 0, 3))),
+)
+
+
+def _taylor_table(terms: int) -> np.ndarray:
+    """Taylor coefficients in X of the four scaled functions, one column
+    each, every one an exact rational rounded once.
+
+    The coefficient of X^n in c X^k e^{-m X} is c (-m)^{n-k} / (n-k)!; the
+    numerator's coefficients below X^p are zero, which is the cancellation
+    the series avoids.  Row j is the numerator's X^{j+p} coefficient, summed
+    over the common denominator (j+p)!.
+    """
+    table = np.empty((terms, len(_NUMERATORS)))
+    for col, (den, p, numerator) in enumerate(_NUMERATORS):
+        for n in range(p, p + terms):
+            exact = sum(c * (-m) ** (n - k) * (math.factorial(n) // math.factorial(n - k))
+                        for c, k, m in numerator)
+            table[n - p, col] = exact / (den * math.factorial(n))
+    return table
+
+
+# Below |X| = 1.75 the numerators cancel and the Taylor series take over; 32
+# terms hold each function to about 1e-14 relative up to the switch.
+_SERIES_SWITCH = 1.75
+_SERIES = _taylor_table(32)[:, :, None]
+_SERIES_POWERS = np.arange(_SERIES.shape[0])[:, None]
+# Every numerator term as a row (function, c, k, m); each term's c sits in
+# its function's column of a (terms, 4) weight and 0 in the others.
+_FLAT = np.array([(col, c, k, m) for col, (_, _, numerator) in enumerate(_NUMERATORS)
+                  for c, k, m in numerator], dtype=float)
+_WEIGHTS = np.where(_FLAT[:, :1] == np.arange(len(_NUMERATORS)), _FLAT[:, 1:2], 0.0)[:, :, None]
+_DEN, _DEN_POWER = np.array([(den, p) for den, p, _ in _NUMERATORS], dtype=float).T[:, :, None]
+
+
+def _scaled_coefficients(x: np.ndarray) -> np.ndarray:
+    """g1, G1, g2 and G2 at X = x (a 1-d array), shape (4,) + x.shape.
+
+    Each point takes one branch.  Each branch is an elementwise product
+    summed over a leading term axis, not a matmul, so no value depends on
+    how many others are asked.
+    """
+    out = np.empty((len(_NUMERATORS),) + x.shape)
+    small = np.abs(x) < _SERIES_SWITCH
+    if small.any():
+        xs = x[small]
+        out[:, small] = np.sum(_SERIES * (xs ** _SERIES_POWERS)[:, None], axis=0)
+    if not small.all():
+        xc = x[~small]
+        k, m = _FLAT[:, 2:3], _FLAT[:, 3:4]
+        numer = np.sum(_WEIGHTS * (xc ** k * np.exp(-m * xc))[:, None], axis=0)
+        out[:, ~small] = numer / (_DEN * xc ** _DEN_POWER)
+    return out
+
+
 def proxy_bond_expansion(alpha: float, beta: float, state: float, maturities):
     """Volatility-squared Taylor coefficients of a one-leg transform.
 
@@ -363,24 +433,24 @@ def proxy_bond_expansion(alpha: float, beta: float, state: float, maturities):
     series).  This is the exact Taylor expansion of the closed-form bond in
     sigma^2 around zero, so it agrees with the transform expansion above
     through O(sigma^2) and sharpens the sigma^4 term.
+
+    B1, B2 and their integrals are sums of polynomial-times-exponential
+    terms in X = alpha tau, taken in closed form (``_NUMERATORS``); each
+    maturity costs the same few array operations, whatever alpha and tau.
+    Their numerators cancel as X -> 0, so below |X| = 1.75 each scaled
+    function is its Taylor series instead.  p0 reads psi and theta off
+    ``_psi_theta``, as the transform expansion's order zero does.
     """
     tau = _maturities(maturities)
     y = float(state)
     alpha = float(alpha)
     beta = float(beta)
-    # B1 and B2 are running integrals against the kernel e^{-alpha (w-u)},
-    # taken at the grid nodes (for the next order) and at the maturities;
-    # L1 and L2 integrate them once more up to the maturities.
-    grid = _RunningGrid(tau, _BOND_NODES, alpha)
-    b0 = np.asarray(psi(-alpha, 0.0, grid.nodes))
-    b1, b1_tau = grid.decayed(-0.5 * b0 * b0, alpha)
-    b2, b2_tau = grid.decayed(-b0 * b1, alpha)
-    int_b1, int_b2 = grid.at_points(np.stack((b1, b2)))
-
+    g1, int_g1, g2, int_g2 = _scaled_coefficients(alpha * tau.ravel()).reshape((4,) + tau.shape)
+    t3 = tau ** 3
     w, th = _psi_theta(alpha, tau)
     p0 = np.exp(-y * w - alpha * beta * th)
-    l1 = -y * b1_tau - alpha * beta * int_b1
-    l2 = -y * b2_tau - alpha * beta * int_b2
+    l1 = -y * t3 * g1 - alpha * beta * t3 * tau * int_g1
+    l2 = -y * t3 * tau * tau * g2 - alpha * beta * t3 * t3 * int_g2
     lin = l1
     quad = l2 + 0.5 * l1 * l1
     if np.ndim(maturities) == 0:

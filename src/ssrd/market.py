@@ -355,7 +355,7 @@ def _roll_dates_after(start: _dt.date, frequency_months: int) -> "iter":
     The frequency divides 12, so the months m with 12 - m a multiple of it
     are its multiples.
     """
-    for year in range(start.year - 1, _dt.MAXYEAR + 1):
+    for year in range(start.year, _dt.MAXYEAR + 1):
         for month in range(frequency_months, 13, frequency_months):
             d = _dt.date(year, month, 20)
             if d > start:

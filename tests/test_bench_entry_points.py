@@ -86,6 +86,21 @@ def test_expansion_integrals_share_one_grid():
     assert 0 < tracer.counts["timeint.gauss_legendre.elems"] <= 20_000
 
 
+def test_survival_curve_builds_no_grid():
+    # The one-leg coefficients are closed forms in alpha * tau: no
+    # Gauss-Legendre nodes for a 24-point survival curve (a 32-node running
+    # grid when they were running integrals).
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        ssrd.survival_approx(intensity_leg_params("mid2"), 0.25 * np.arange(1, 25))
+    finally:
+        tracer.uninstall()
+    called = [name for name, *_ in tracer.spans]
+    assert called.count("expansion.survival_approx") == 1
+    assert "timeint.gauss_legendre" not in called
+
+
 def test_ladder_prices_on_the_coupon_grid_itself():
     # The expansion's running grid is laid over the coupon dates and its
     # nodes are the quadrature panels: 12 semiannual periods x 32 nodes, no

@@ -448,6 +448,15 @@ def test_dated_schedule_past_the_last_date_exits_two(market_dir, tmp_path, capsy
         )
 
 
+def test_fixed_roll_from_the_first_date_prices(market_dir, tmp_path, capsys):
+    config = tmp_path / "config.txt"
+    config.write_text("roll=fixed\nvaluation=0001-01-01\n")
+    code = run_cli("price", "--params", str(market_dir / "params.txt"),
+                   "--config", str(config), "--tenors", "1")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_frequency_that_does_not_divide_a_year_exits_two(market_dir, tmp_path, capsys):
     config = tmp_path / "config.txt"
     for roll in ("fixed", "anniversary"):

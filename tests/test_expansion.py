@@ -9,12 +9,15 @@ Oracle routes used here, none of which share code with the implementation:
 * proxy moments    -- adaptive quadrature and brute-force trapezoid rules
   on dense grids;
 * sigma^2 Taylor    -- coefficient correctness shown by the error decaying
-  like sigma^6 against the exact one-leg transform.
+  like sigma^6 against the exact one-leg transform, and the coefficients'
+  closed forms evaluated in 150-digit decimal arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import time
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 
@@ -27,9 +30,11 @@ from ssrd.cir import CirParams, cir_bond, cir_bond_dT
 from ssrd.expansion import (
     ANCHOR_FLOOR,
     ModelParams,
+    _SERIES_SWITCH,
     _ProxyMoments,
     _expand,
     _psi_theta,
+    _scaled_coefficients,
     expansion_terms,
     h_expansion,
     proxy_bond_expansion,
@@ -315,6 +320,86 @@ def test_proxy_bond_linear_coefficient_matches_adaptive_quadrature(alpha):
 
     oracle = -x0 * b1(T) - alpha * beta * quad(b1, 0.0, T, epsabs=0.0, epsrel=1e-12, limit=200)[0]
     assert proxy_bond_expansion(alpha, beta, x0, T)[1] == pytest.approx(oracle, rel=1e-11)
+
+
+def _scaled_oracle(x: Decimal):
+    # g1, G1, g2, G2 of B1(tau) = tau^3 g1(X), int B1 = tau^4 G1(X),
+    # B2(tau) = tau^5 g2(X), int B2 = tau^6 G2(X) at X = alpha tau; the
+    # numerators cancel like X^3 to X^6, so at X = 1e-8 the last loses 48
+    # of the context's digits
+    e = (-x).exp()
+    return (
+        (2 * x * e - 1 + e * e) / (2 * x**3),
+        (5 - 2 * x - 4 * (x + 1) * e - e * e) / (4 * x**4),
+        (2 - 2 * x * x * e - 2 * x * e - 4 * x * e * e + e - 2 * e * e - e**3) / (4 * x**5),
+        (6 * x - 22 + 6 * (x + 1) * e * e + 3 * (2 * x * x + 6 * x + 5) * e + e**3)
+        / (12 * x**6),
+    )
+
+
+def test_proxy_bond_coefficients_match_a_decimal_oracle():
+    # alpha from 1e-6 to 300 and tau from 0.01 to 30, plus legs on both
+    # sides of the series switch.  quad = l2 + l1^2/2 can cancel on its own,
+    # so its error is bounded against the size of its parts.
+    rng = np.random.default_rng(0)
+    n = 300
+    alpha = 10.0 ** rng.uniform(-6.0, math.log10(300.0), n)
+    tau = 10.0 ** rng.uniform(-2.0, math.log10(30.0), n)
+    near = 10.0 ** rng.uniform(-2.0, math.log10(30.0), 60)
+    alpha = np.concatenate((alpha, _SERIES_SWITCH * (1.0 + rng.uniform(-0.05, 0.05, 60)) / near))
+    tau = np.concatenate((tau, near))
+    beta = rng.uniform(0.0, 0.2, alpha.size)
+    x0 = rng.uniform(0.0, 0.2, alpha.size)
+    x = alpha * tau
+    assert np.any(x < _SERIES_SWITCH) and np.any(x >= _SERIES_SWITCH)
+    scaled = _scaled_coefficients(x)
+    with localcontext() as ctx:
+        ctx.prec = 150
+        for i, (a, t, b, y) in enumerate(zip(alpha.tolist(), tau.tolist(),
+                                             beta.tolist(), x0.tolist())):
+            for got, exact in zip(scaled[:, i].tolist(), _scaled_oracle(Decimal(x[i]))):
+                assert abs(Decimal(got) - exact) <= Decimal("2e-14") * abs(exact), (a, t)
+            A, T, ab, Y = Decimal(a), Decimal(t), Decimal(a) * Decimal(b), Decimal(y)
+            g1, int_g1, g2, int_g2 = _scaled_oracle(A * T)
+            l1 = -Y * T**3 * g1 - ab * T**4 * int_g1
+            l2 = -Y * T**5 * g2 - ab * T**6 * int_g2
+            _, lin, quad_ = proxy_bond_expansion(a, b, y, t)
+            assert abs(Decimal(lin) - l1) <= Decimal("2e-14") * abs(l1), (a, t)
+            bound = Decimal("1e-13") * (abs(l2) + l1 * l1 / 2)
+            assert abs(Decimal(quad_) - (l2 + l1 * l1 / 2)) <= bound, (a, t)
+
+
+def test_one_leg_cost_does_not_grow_with_mean_reversion():
+    # alpha T = 9000: the same few array operations as at alpha = 1, where a
+    # grid cut to the kernel's decay scale took 9,000 gaps and 131 MB
+    fast = CirParams(300.0, 0.05, 0.1, 0.01)
+    slow = CirParams(1.0, 0.05, 0.1, 0.01)
+    assert survival_approx(fast, 30.0, order=2) == pytest.approx(
+        cir_bond(fast, 0.0, 30.0), rel=1e-12)
+
+    def cost(leg):
+        tracemalloc.start()
+        survival_approx(leg, 30.0, order=2)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        best = math.inf
+        for _ in range(20):
+            start = time.perf_counter()
+            survival_approx(leg, 30.0, order=2)
+            best = min(best, time.perf_counter() - start)
+        return peak, best
+
+    (peak_slow, best_slow), (peak_fast, best_fast) = cost(slow), cost(fast)
+    assert peak_fast <= peak_slow
+    assert best_fast <= 2.0 * best_slow + 1e-3
+    # the speed a runaway rate fit reaches, which a grid met with GiB arrays
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        coefficients = proxy_bond_expansion(1.1e8, 0.03, 0.02, 6.0)
+        best = min(best, time.perf_counter() - start)
+    assert np.all(np.isfinite(coefficients))
+    assert best <= 0.01
 
 
 def test_survival_at_fast_mean_reversion_matches_exact_bond():

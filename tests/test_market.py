@@ -329,6 +329,14 @@ def test_fixed_roll_dates_follow_the_coupon_frequency():
     assert all(d.day == 20 for d in monthly)
 
 
+def test_fixed_roll_schedule_from_the_first_year():
+    # the roll dates start in the valuation year itself; year 0 does not exist
+    val = dt.date(1, 1, 1)
+    cfg = PricingConfig(roll="fixed", valuation=val)
+    assert build_schedule(val, 1.0, cfg).dates == (
+        dt.date(1, 6, 20), dt.date(1, 12, 20), dt.date(2, 6, 20))
+
+
 def test_fixed_roll_schedule_act365():
     cfg = PricingConfig(roll="fixed", day_count="act365")
     val = dt.date(2004, 3, 10)
