@@ -40,6 +40,7 @@ from .expansion import ModelParams, proxy_bond_expansion
 from .market import CdsQuoteSet, DiscountCurve, PricingConfig
 from .pricing import _strip, spread_ladder
 from .simplex import CalibrationResult, Transform, nelder_mead
+from .timeint import _GridLimitError
 
 __all__ = [
     "BootstrapAnomalyWarning",
@@ -431,7 +432,9 @@ def calibrate_cds(
     at the order in ``config`` (second by default), so the reported fit is
     what a final repricing would see.  ``weights`` names the scheme of
     :func:`compute_weights`.  ``correlated=False`` pins rho = 0 and fits
-    four parameters.
+    four parameters.  A trial point whose pricing grid would be too large
+    counts as an infinite objective; such a start point is a
+    :class:`CalibrationError`.
     """
     weight_arr = np.array(compute_weights(weights, quotes))
     n_free = 5 if correlated else 4
@@ -453,7 +456,10 @@ def calibrate_cds(
         return spread_ladder(model, union, ends, cfg)
 
     def objective(p: np.ndarray) -> float:
-        resid = spreads_at(p, loop_config) - targets
+        try:
+            resid = spreads_at(p, loop_config) - targets
+        except _GridLimitError:  # a trial point the pricing grid refuses
+            return math.inf
         return float(np.sum(weight_arr * resid**2)) + _feller_penalty(p[0], p[1], p[2])
 
     if initial is None:
@@ -465,6 +471,14 @@ def calibrate_cds(
     if not correlated:
         initial = initial[:4]
         kinds = kinds[:4]
+
+    try:
+        spreads_at(initial, loop_config)
+    except _GridLimitError as exc:
+        raise CalibrationError(
+            f"credit fit cannot start: the pricing grid refuses its decay rate "
+            f"alpha1 + alpha2 ({exc})"
+        ) from None
 
     t_start = time.perf_counter()
     res = nelder_mead(objective, initial, Transform(kinds), max_iter=max_iter)

@@ -5,7 +5,8 @@ library operations, prints an aligned report table to stdout, and -- when
 ``--out DIR`` is given -- writes the same report as ``<command>.txt``,
 ``.csv``, and ``.json`` alongside each other.  Exit status: 0 on success,
 2 on any input problem (missing or unreadable file, an ``--out`` that
-is not a directory, schema violation, bad flag combination), 3 when a
+is not a directory, schema violation, bad flag combination, a model too
+fast-reverting for the pricing grid), 3 when a
 calibration ran but did not converge.  Any other exception is an
 internal fault and propagates.
 """
@@ -43,6 +44,7 @@ from .market import (
 from .mc import McConfig, mc_estimate
 from .pricing import spread_curve
 from .report import CalibrationReport, fmt_bps, fmt_param, fmt_prob, relative_error_pct
+from .timeint import _GridLimitError
 
 __all__ = ["main"]
 
@@ -400,7 +402,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 2
-    except (_InputError, MarketDataError, CalibrationError,
+    except (_InputError, MarketDataError, CalibrationError, _GridLimitError,
             UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -377,10 +377,15 @@ def build_schedule(valuation: _dt.date | None, tenor_years: float, config: Prici
     mode steps in multiples of
     the payment frequency from valuation; without a valuation date it works
     on an abstract year-fraction grid.  A tenor that is not positive and
-    finite, or dates past 9999-12-31, are a :class:`MarketDataError`.
+    finite, dates past 9999-12-31, or an undated tenor longer than any
+    dated schedule can run (9999 years) are a :class:`MarketDataError`.
     """
     if not 0.0 < tenor_years < math.inf:
         raise MarketDataError(f"tenor must be positive and finite, got {tenor_years}")
+    if valuation is None and tenor_years > _dt.MAXYEAR:
+        raise MarketDataError(
+            f"an undated schedule runs at most {_dt.MAXYEAR} years, got {tenor_years:g}"
+        )
     # a tenor a year longer than the days left runs past them on every rule;
     # the checks below find the exact limit
     if valuation is not None and (tenor_years - 1.0) * 365.0 > (_dt.date.max - valuation).days:

@@ -23,11 +23,11 @@ the panels, no panel straddles a payment date, and doubling the node count
 refines every period in place.  A period longer than the grid's decay
 scale 1/(alpha1 + alpha2) is cut into several equal gaps.
 
-Each leg is accumulated once over the coupon periods and read at a
-contract's last payment date, so every quote of a strip on one coupon grid
-shares the same sums.  The par spread is the ratio of the two legs.  It is
-quoted as a decimal (multiply by 1e4 for basis points) and is exactly zero
-at full recovery.
+Each leg is a running integral on that grid, read at a contract's last
+payment date, so every quote of a strip on one coupon grid shares one
+sweep; only the grid knows how a coupon period splits into gaps.  The par
+spread is the ratio of the two legs.  It is quoted as a decimal (multiply
+by 1e4 for basis points) and is exactly zero at full recovery.
 """
 
 from __future__ import annotations
@@ -82,27 +82,23 @@ def _warn_feller(params: ModelParams) -> None:
 
 def _legs(
     params: ModelParams, schedule: Schedule, config: PricingConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both legs accumulated to every coupon date, one expansion call for all.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Protection and annuity of the contract truncated at every coupon date.
 
-    Entry i prices the contract truncated at payment date t_i: prot[i] =
-    int_0^{t_i} h ds, acc[i] = int_0^{t_i} h(s) (s - t_prev(s)) ds, coup[i] =
-    sum_{j <= i} dt_j v(t_j).  The expansion's grid over the coupon dates
-    gives h at its nodes, its gaps being the panels, and v at the dates; a
-    period's gaps are summed in order, then each leg runs one cumulative sum.
+    Entry i prices the contract ending at payment date t_i: the protection
+    (1 - recovery) int_0^{t_i} h ds, and the annuity int_0^{t_i} h(s) (s -
+    t_prev(s)) ds + sum_{j <= i} dt_j v(t_j).  One expansion call gives h at
+    the grid's nodes and v at the dates.  Both integrals are running
+    integrals on that grid, whose ``lower`` is t_prev on every gap, and
+    they take h with any leading axes.
     """
     times = np.asarray(schedule.times, dtype=float)
     accruals = np.asarray(schedule.accruals, dtype=float)
     grid, at_nodes, at_times = _expand(params, times, config.order, config.quad_nodes)
-    pieces = np.diff(grid.index, prepend=0)
-    first = grid.index - pieces
-    start = np.repeat(np.concatenate(([0.0], times[:-1])), pieces)
-
-    kernel = grid.weights * at_nodes.h()
-    prot = np.add.reduceat(np.sum(kernel, axis=1), first)
-    acc = np.add.reduceat(np.sum(kernel * (grid.nodes - start[:, None]), axis=1), first)
-    coup = accruals * at_times.v()
-    return np.cumsum(prot), np.cumsum(acc), np.cumsum(coup)
+    h = at_nodes.h()
+    prot = grid.at_points(h)
+    acc = grid.at_points(h * (grid.nodes - grid.lower[:, None]))
+    return (1.0 - config.recovery) * prot, acc + np.cumsum(accruals * at_times.v(), axis=-1)
 
 
 def _strip(valuation, tenors, config: PricingConfig) -> tuple[Schedule, list[int]] | None:
@@ -127,9 +123,8 @@ def price_cds(params: ModelParams, schedule: Schedule, config: PricingConfig) ->
     """
     _warn_feller(params)
     _warn_anchor(params, config.order)
-    prot, acc, coup = _legs(params, schedule, config)
-    protection = (1.0 - config.recovery) * float(prot[-1])
-    annuity = float(acc[-1] + coup[-1])
+    prot, annuity = _legs(params, schedule, config)
+    protection, annuity = float(prot[-1]), float(annuity[-1])
     return LegValues(protection=protection, annuity=annuity, spread=protection / annuity)
 
 
@@ -142,8 +137,8 @@ def spread_ladder(
     """Par spreads for contracts that are coupon-grid prefixes of ``schedule``.
 
     ``prefix_lengths[k]`` is the number of leading coupon periods in the
-    k-th contract.  One expansion evaluation covers the whole family, each
-    leg is accumulated once and read at every prefix end.  The grid's gaps
+    k-th contract.  One expansion evaluation covers the whole family, and
+    each leg's running integral is read at every prefix end.  The grid's gaps
     never straddle a coupon date and its running integrals read only
     earlier gaps, so each entry is bit-identical to ``price_cds`` on the
     prefix schedule.  This is the hot path of the spread calibration loop
@@ -154,8 +149,8 @@ def spread_ladder(
     last = np.asarray(prefix_lengths, dtype=int) - 1
     if last.size and (last.min() < 0 or last.max() >= len(schedule.times)):
         raise ValueError("prefix length outside the coupon grid")
-    prot, acc, coup = _legs(params, schedule, config)
-    return (1.0 - config.recovery) * prot[last] / (acc[last] + coup[last])
+    prot, annuity = _legs(params, schedule, config)
+    return prot[..., last] / annuity[..., last]
 
 
 def spread_curve(

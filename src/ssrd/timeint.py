@@ -162,6 +162,16 @@ def _running_matrix(n: int) -> np.ndarray:
     return np.array(rows)
 
 
+class _GridLimitError(ValueError):
+    """A running grid would need more gaps than ``_MAX_GAPS``."""
+
+
+# Gaps of one running grid.  An order-2 ladder at 32 nodes on a grid this
+# size allocates at most about 220 MiB, most of it the (gaps, n, n) product
+# in ``_within``; alpha2 = 1e3 on a six-year semiannual strip needs 6,012.
+_MAX_GAPS = 16_384
+
+
 class _RunningGrid:
     """Gauss-Legendre nodes (shape (gaps, n)) on every gap of [0, sorted points].
 
@@ -170,17 +180,27 @@ class _RunningGrid:
     points.  Gaps longer than 1/rate, ``rate`` being the fastest decay among
     the integrands' kernels e^{-a (u-v)}, are cut into ceil(rate * gap) equal
     pieces, so within any gap a kernel, and the local weight of ``decayed``,
-    never varies by more than a factor e.
+    never varies by more than a factor e.  ``lower`` holds each gap's lower
+    end before the cut: the largest of 0 and the points below the gap.  A
+    grid of more than ``_MAX_GAPS`` gaps is refused before anything is
+    allocated.
     """
 
     def __init__(self, points, n: int, rate: float):
         breaks = np.unique(np.append(0.0, points))
         gaps = np.diff(breaks)
-        pieces = np.ceil(rate * gaps).clip(1).astype(int)
+        pieces = np.ceil(rate * gaps).clip(1)
+        if not pieces.sum() <= _MAX_GAPS:  # also refuses a NaN count
+            raise _GridLimitError(
+                f"decay rate {rate:.6g} over [0, {breaks[-1]:g}] needs "
+                f"{pieces.sum():.6g} grid gaps, more than the {_MAX_GAPS} allowed"
+            )
+        pieces = pieces.astype(int)
         gap = np.repeat(np.arange(gaps.size), pieces)
         step = np.arange(gap.size) - np.searchsorted(gap, gap)
-        breaks = np.append(breaks[gap] + gaps[gap] * step / pieces[gap], breaks[-1])
-        self.breaks = breaks
+        self.lower = breaks[gap]
+        breaks = np.append(self.lower + gaps[gap] * step / pieces[gap], breaks[-1])
+        self.widths = np.diff(breaks)
         self.index = np.searchsorted(breaks, points)
         self.nodes, self.weights = gauss_legendre(breaks[:-1], breaks[1:], n)
         self.matrix = _running_matrix(n)
@@ -200,7 +220,7 @@ class _RunningGrid:
         # product and sum, not matmul, so a row's value cannot depend on how
         # many rows there are
         inside = np.sum(f[..., None, :] * self.matrix, axis=-1)
-        return 0.5 * np.diff(self.breaks)[:, None] * inside
+        return 0.5 * self.widths[:, None] * inside
 
     def at_nodes(self, f):
         """int_0^u f for every node u; result shape f.shape."""
@@ -213,7 +233,7 @@ class _RunningGrid:
         carried from gap to gap, B(hi) = e^{-a h} (B(lo) + int_lo^hi e^{a (v-lo)} f),
         with the weight e^{a (v-lo)} local to each gap, so nothing grows with u.
         """
-        h = np.diff(self.breaks)
+        h = self.widths
         # offsets from each gap's lower end, not nodes - lo, whose rounding
         # at large u would be magnified by a
         x = _leggauss(self.matrix.shape[0])[0]

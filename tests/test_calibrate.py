@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ssrd.calibrate
+import ssrd.timeint
 from conftest import MARKET_STRIP_MIDS, MARKET_STRIP_TENORS, RATE_FIXTURE, make_model
 from ssrd.calibrate import (
     BootstrapAnomalyWarning,
@@ -334,6 +336,38 @@ def test_credit_fit_requires_aligned_coupon_grids():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             calibrate_cds(quotes, RATE, 0.05, CFG, weights="uniform", correlated=False)
+
+
+def test_credit_fit_refuses_a_start_the_pricing_grid_refuses():
+    quotes = _synthetic_quotes(make_model("mid2", rho=0.0), (1.0, 2.0, 3.0, 4.0, 5.0))
+    runaway = CirParams(1e8, RATE.beta, RATE.sigma, RATE.x0)
+    with pytest.raises(CalibrationError,
+                       match=r"alpha1 \+ alpha2 \(decay rate 1e\+08 over \[0, 5\]"):
+        calibrate_cds(quotes, runaway, 0.05, CFG, weights="uniform", correlated=False)
+
+
+def test_credit_fit_counts_a_refused_trial_point_as_infinite(monkeypatch):
+    # With at most 10 gaps on the 10 semiannual periods, every point with
+    # alpha1 + alpha2 > 2 is refused.  The start sits at 1.99, so the first
+    # simplex step in alpha2 (5 % in log alpha2) lands past the edge.
+    refused = 0
+
+    def counting_ladder(*args):
+        nonlocal refused
+        try:
+            return spread_ladder(*args)
+        except ssrd.timeint._GridLimitError:
+            refused += 1
+            raise
+
+    quotes = _synthetic_quotes(make_model("mid2", rho=0.0), (1.0, 2.0, 3.0, 4.0, 5.0))
+    start = np.array([1.79, 0.18416, 0.07196, 0.01103])
+    monkeypatch.setattr(ssrd.timeint, "_MAX_GAPS", 10)
+    monkeypatch.setattr(ssrd.calibrate, "spread_ladder", counting_ladder)
+    res = calibrate_cds(quotes, RATE, 0.05, CFG, weights="uniform", correlated=False,
+                        initial=start, max_iter=200)
+    assert refused > 0
+    assert math.isfinite(res.objective) and RATE.alpha + res.x[0] <= 2.0
 
 
 def test_assemble_model_pins_rho_when_uncorrelated():

@@ -448,6 +448,64 @@ def test_dated_schedule_past_the_last_date_exits_two(market_dir, tmp_path, capsy
         )
 
 
+def test_undated_schedule_longer_than_any_dated_one_exits_two(market_dir, tmp_path, capsys):
+    config = tmp_path / "config.txt"
+    config.write_text("roll=anniversary\n")
+    code = run_cli("price", "--params", str(market_dir / "params.txt"),
+                   "--config", str(config), "--tenors", "1e6")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: an undated schedule runs at most 9999 years, got 1e+06\n"
+    )
+
+
+def test_model_the_pricing_grid_refuses_exits_two(market_dir, tmp_path, capsys):
+    params = tmp_path / "params.txt"
+    params.write_text((market_dir / "params.txt").read_text()
+                      .replace(f"alpha1={RATE.alpha}", "alpha1=1e8"))
+    for command in ("price", "mc-check"):
+        code = run_cli(command, "--params", str(params), "--tenors", "1,5",
+                       "--config", str(market_dir / "config.txt"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: decay rate 1e+08 over [0, 5] needs 5e+08 grid gaps, "
+            "more than the 16384 allowed\n"
+        )
+
+
+def test_full_pipeline_on_a_humped_curve_ends_with_a_message(market_dir, tmp_path):
+    # No CIR curve has this hump, and the rate fit answers it with alpha1 near
+    # 3.5e8; a credit ladder at that speed would need 1.8e9 grid gaps (13 GiB
+    # for its gap index alone).  The child runs under a 4 GB address-space
+    # cap, so that a regression fails here instead of taking the host's memory.
+    import resource
+
+    pillars = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0)
+    lines = ["# mode=df", f"# r0={RATE.x0!r}"] + [
+        f"{t!r},{float(cir_bond(RATE, 0.0, t)) * math.exp(-0.01 * t * t * math.exp(-t / 2))!r}"
+        for t in pillars
+    ]
+    curve = tmp_path / "humped.csv"
+    curve.write_text("\n".join(lines) + "\n")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (4_000_000_000, 4_000_000_000))
+
+    src = str(Path(ssrd.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ssrd", "full-pipeline", "--curve", str(curve),
+         "--quotes", str(market_dir / "quotes.csv"), "--config", str(market_dir / "config.txt")],
+        capture_output=True, text=True, env=env, timeout=10, preexec_fn=cap,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert re.fullmatch(r"error: credit fit cannot start: the pricing grid refuses its decay "
+                        r"rate alpha1 \+ alpha2 \(decay rate 3\.5\d+e\+08 over \[0, 5\] "
+                        r"needs \S+ grid gaps, more than the 16384 allowed\)\n", proc.stderr)
+
+
 def test_fixed_roll_from_the_first_date_prices(market_dir, tmp_path, capsys):
     config = tmp_path / "config.txt"
     config.write_text("roll=fixed\nvaluation=0001-01-01\n")

@@ -356,6 +356,11 @@ def test_schedule_rejects_nonpositive_tenor():
         build_schedule(None, 0.0, cfg)
     with pytest.raises(MarketDataError):
         build_schedule(None, -1.0, cfg)
+    # nor an undated one longer than any dated schedule can run
+    assert build_schedule(None, 9999.0, cfg).times[-1] == 9999.0
+    for tenor in (9999.5, 1e6, 1e300):
+        with pytest.raises(MarketDataError, match="undated schedule runs at most 9999 years"):
+            build_schedule(None, tenor, cfg)
     # nor a non-finite one, on any roll, dated or not
     for roll, valuation in (("anniversary", None), ("anniversary", dt.date(2004, 3, 10)),
                             ("fixed", dt.date(2004, 3, 10))):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import replace
 
@@ -120,6 +121,22 @@ def test_order_one_ladder_is_finite_at_fast_intensity_reversion(alpha2):
         warnings.simplefilter("error")
         ladder = spread_ladder(model, union, ends, config)
     assert np.all(np.isfinite(ladder)) and np.all(ladder > 0.0)
+
+
+def test_ladder_refuses_a_runaway_rate_reversion_at_once():
+    # alpha1 = 1e8 on the six-year strip would need 6e8 grid gaps (tens of
+    # GiB); the grid refuses before allocating them
+    config = PricingConfig(roll="anniversary", order=1, quad_nodes=8)
+    model = make_model("mid2", rho=0.5, alpha1=1e8)
+    union = _schedule(max(MARKET_STRIP_TENORS), config)
+    ends = [len(_schedule(t, config).times) for t in MARKET_STRIP_TENORS]
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"decay rate 1e\+08 over \[0, 6\] needs 6e\+08"):
+            spread_ladder(model, union, ends, config)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.01
 
 
 def test_ladder_rejects_out_of_range_prefixes():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ssrd.timeint import (
+    _MAX_GAPS,
+    _GridLimitError,
     _RunningGrid,
     exp_integral,
     exp_integral_da,
@@ -161,9 +163,21 @@ def test_running_grid_integrates_exponentials(a, points):
 def test_running_grid_cuts_gaps_longer_than_the_growth_scale():
     grid = _RunningGrid([0.5, 6.0], 8, 1.0)
     assert grid.nodes.shape == (7, 8)  # [0, 0.5] whole, [0.5, 6] in 6 pieces
+    np.testing.assert_array_equal(grid.lower, [0.0] + [0.5] * 6)  # before the cut
+    np.testing.assert_allclose(grid.widths, [0.5] + [5.5 / 6] * 6, rtol=1e-15)
     assert np.all(np.diff(grid.nodes.ravel()) > 0)
     np.testing.assert_allclose(grid.at_points(np.exp(grid.nodes)), np.expm1([0.5, 6.0]),
                                rtol=1e-14)
+
+
+def test_running_grid_refuses_more_gaps_than_its_limit():
+    assert _RunningGrid([1.0], 8, float(_MAX_GAPS)).nodes.shape == (_MAX_GAPS, 8)
+    for rate, count in ((_MAX_GAPS + 0.5, "16385"), (1e300, "1e+300"), (np.nan, "nan")):
+        with pytest.raises(_GridLimitError) as exc:
+            _RunningGrid([1.0], 8, rate)
+        assert isinstance(exc.value, ValueError)
+        assert str(exc.value) == (f"decay rate {rate:.6g} over [0, 1] needs {count} grid "
+                                  f"gaps, more than the {_MAX_GAPS} allowed")
 
 
 @pytest.mark.parametrize("a", [0.0, 0.7, 30.0])
