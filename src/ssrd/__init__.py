@@ -14,14 +14,7 @@ from .calibrate import (
     run_pipeline,
 )
 from .cir import CirParams, cir_bond, cir_bond_dT
-from .expansion import (
-    ExpansionTerms,
-    ModelParams,
-    expansion_terms,
-    h_expansion,
-    survival_approx,
-    v_expansion,
-)
+from .expansion import ExpansionTerms, ModelParams, expansion_terms, survival_approx
 from .market import (
     CdsQuoteSet,
     DiscountCurve,
@@ -34,8 +27,8 @@ from .market import (
     load_pricing_config,
 )
 from .mc import McConfig, mc_estimate
-from .pricing import LegValues, price_cds, spread_curve, uncorrelated_spread
-from .simplex import CalibrationResult, Transform, nelder_mead
+from .pricing import spread_curve, uncorrelated_spread
+from .simplex import CalibrationResult
 
 __version__ = "0.1.0"
 
@@ -47,7 +40,6 @@ __all__ = [
     "CirParams",
     "DiscountCurve",
     "ExpansionTerms",
-    "LegValues",
     "MarketDataError",
     "MatchedVolatility",
     "McConfig",
@@ -55,7 +47,6 @@ __all__ = [
     "PipelineResult",
     "PricingConfig",
     "Schedule",
-    "Transform",
     "bootstrap_survival",
     "build_schedule",
     "calibrate_cds",
@@ -64,18 +55,14 @@ __all__ = [
     "cir_bond_dT",
     "compute_weights",
     "expansion_terms",
-    "h_expansion",
     "load_cds_quotes",
     "load_discount_curve",
     "load_pricing_config",
     "match_volatility",
     "mc_estimate",
-    "nelder_mead",
-    "price_cds",
     "run_pipeline",
     "spread_curve",
     "survival_approx",
     "uncorrelated_spread",
-    "v_expansion",
     "__version__",
 ]

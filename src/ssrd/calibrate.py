@@ -13,7 +13,11 @@ re-pricing at second order for the reported fit.
 
 Step 1 is a smooth least-squares problem (one residual per pillar, three
 parameters) and runs on a private Levenberg-Marquardt solver; step 3 runs
-on the simplex from :mod:`ssrd.simplex`.  Both are deterministic.
+on the simplex from :mod:`ssrd.simplex`.  Both are deterministic, and each
+has a fixed budget of 4,000 iterations.  The rate fit refuses a
+mean-reversion speed alpha1 above 50; a fit that ends on that bound is
+reported unconverged.  The credit fit's bound is the pricing grid, which
+refuses a trial point whose decay rate alpha1 + alpha2 it cannot cover.
 Positivity and the correlation bound are enforced by the exp/tanh
 transforms of :class:`~ssrd.simplex.Transform`, and the Feller condition
 by a soft penalty 10^6 * max(0, sigma^2 - 2 alpha beta)^2 added to the
@@ -120,11 +124,18 @@ def _rate_starts(tenors: np.ndarray, dfs: np.ndarray) -> list[np.ndarray]:
 
 
 # Levenberg-Marquardt settings: initial damping relative to max diag(J'J),
-# forward-difference step relative to |z|, and the MINPACK-style stopping
-# tolerance shared by the step and the relative-reduction tests.
+# forward-difference step relative to |z|, the MINPACK-style stopping
+# tolerance shared by the step and the relative-reduction tests, and the
+# iteration budget.
 _LM_TAU = 1e-3
 _LM_FD_STEP = 1.49e-8
 _LM_TOL = 1e-10
+_LM_MAX_ITER = 4000
+
+# Largest mean-reversion speed the rate fit tries.  A curve no square-root
+# bond curve takes (a hump) otherwise drives alpha1 to 1e8 and beyond; fits
+# to attainable curves stay below 1.
+_ALPHA_MAX = 50.0
 
 
 def _one_sided(r: np.ndarray) -> np.ndarray:
@@ -137,9 +148,7 @@ def _sum_sq(r: np.ndarray) -> float:
     return float(counted @ counted)
 
 
-def _levenberg_marquardt(
-    residuals, x0: np.ndarray, transform: Transform, max_iter: int
-) -> CalibrationResult:
+def _levenberg_marquardt(residuals, x0: np.ndarray, transform: Transform) -> CalibrationResult:
     """Minimize the sum of squares of ``residuals(x)`` from ``x0`` by damped Gauss-Newton.
 
     The last residual is a one-sided penalty: only its positive part enters
@@ -158,11 +167,10 @@ def _levenberg_marquardt(
 
     Convergence is declared on a zero gradient, on a step no larger than
     1e-10 relative to z, or when the actual and the predicted relative
-    reductions are both at most 1e-10 (More 1978).  Exhausting ``max_iter``
-    returns the current point with ``converged=False``; non-finite
-    residuals at ``x0`` are an error.
+    reductions are both at most 1e-10 (More 1978).  Exhausting the
+    4,000-iteration budget returns the current point with
+    ``converged=False``; non-finite residuals at ``x0`` are an error.
     """
-    t_start = time.perf_counter()
     n_eval = 0
 
     def resid(z: np.ndarray) -> np.ndarray | None:
@@ -208,7 +216,7 @@ def _levenberg_marquardt(
 
     iterations = 0
     converged = not np.any(jac.T @ _one_sided(r))
-    while not converged and iterations < max_iter:
+    while not converged and iterations < _LM_MAX_ITER:
         iterations += 1
         step = damped_step(jac, r, mu, r[-1] > 0.0)
         if r[-1] <= 0.0 < r[-1] + jac[-1] @ step:
@@ -242,11 +250,10 @@ def _levenberg_marquardt(
         iterations=iterations,
         n_eval=n_eval,
         converged=converged,
-        elapsed=time.perf_counter() - t_start,
     )
 
 
-def calibrate_rates(curve: DiscountCurve, *, max_iter: int = 4000) -> CalibrationResult:
+def calibrate_rates(curve: DiscountCurve) -> CalibrationResult:
     """Fit (alpha1, beta1, sigma1) to discount pillars, r0 held at the observed value.
 
     Levenberg-Marquardt from five deterministic starting points, anchored
@@ -258,6 +265,12 @@ def calibrate_rates(curve: DiscountCurve, *, max_iter: int = 4000) -> Calibratio
     all starts.  Fit quality -- not parameter identification -- is the
     contract; long-tenor curves carry little independent information about
     alpha1 vs sigma1.
+
+    The residuals refuse alpha1 above 50, so the solver rejects such a
+    trial point like any other that fails to reduce the sum.  A fit whose
+    alpha1 ends within 1e-6 relative of that bound comes back with
+    ``converged=False`` and one ``RuntimeWarning`` naming alpha1 and the
+    bound: the curve asks for a faster mean reversion than the fit allows.
     """
     if curve.short_rate is None:
         raise CalibrationError("curve must carry the observed short rate r0")
@@ -275,6 +288,8 @@ def calibrate_rates(curve: DiscountCurve, *, max_iter: int = 4000) -> Calibratio
 
     def residuals(p: np.ndarray) -> np.ndarray:
         alpha, beta, sigma = p
+        if alpha > _ALPHA_MAX:
+            raise ValueError(f"alpha1 = {alpha:g} is above the bound {_ALPHA_MAX:g}")
         model = cir_bond(CirParams(alpha, beta, sigma, r0), 0.0, tenors)
         return np.append(model - dfs, -1e3 * feller_margin(alpha, beta, sigma))
 
@@ -285,7 +300,7 @@ def calibrate_rates(curve: DiscountCurve, *, max_iter: int = 4000) -> Calibratio
     n_eval = iterations = 0
     for s in _rate_starts(tenors, dfs):
         try:
-            res = _levenberg_marquardt(residuals, s, transform, max_iter)
+            res = _levenberg_marquardt(residuals, s, transform)
         except ValueError as exc:
             failures.append(str(exc))
             continue
@@ -295,6 +310,14 @@ def calibrate_rates(curve: DiscountCurve, *, max_iter: int = 4000) -> Calibratio
             best = res
     if best is None:
         raise CalibrationError("all starts failed: " + "; ".join(failures))
+    if best.x[0] >= _ALPHA_MAX * (1.0 - 1e-6):
+        warnings.warn(
+            f"rate fit ended on the mean-reversion bound: alpha1 = {best.x[0]:.10g}, "
+            f"bound {_ALPHA_MAX:g}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        best = replace(best, converged=False)
 
     errors = residuals(best.x)[:-1]
     return replace(
@@ -423,7 +446,6 @@ def calibrate_cds(
     weights: str = "bidask",
     correlated: bool = True,
     initial: np.ndarray | None = None,
-    max_iter: int = 4000,
 ) -> CalibrationResult:
     """Fit (alpha2, beta2, sigma2, lambda0[, rho]) to mid quotes.
 
@@ -481,7 +503,7 @@ def calibrate_cds(
         ) from None
 
     t_start = time.perf_counter()
-    res = nelder_mead(objective, initial, Transform(kinds), max_iter=max_iter)
+    res = nelder_mead(objective, initial, Transform(kinds))
 
     residuals = spreads_at(res.x, config) - targets
     return replace(

@@ -54,6 +54,10 @@ _PARAM_KEYS = (
 )
 
 
+# Euler steps mc-check simulates on its longest tenor at most
+_MAX_MC_STEPS = 1_000_000
+
+
 class _InputError(Exception):
     """Anything that should end the process with exit status 2."""
 
@@ -148,6 +152,8 @@ def _cmd_rates(args) -> tuple[CalibrationReport, int]:
             t_max = max(load_cds_quotes(args.quotes).tenors)
         else:
             raise _InputError("need --tmax or --quotes to set the matching horizon")
+        if not (t_max > 0.0 and math.isfinite(t_max)):
+            raise _InputError(f"matching horizon must be positive and finite, got {t_max}")
     res = calibrate_rates(curve)
     fit = CirParams(float(res.x[0]), float(res.x[1]), float(res.x[2]), curve.short_rate)
     headers, rows = (), []
@@ -298,6 +304,10 @@ def _cmd_mc_check(args) -> tuple[CalibrationReport, int]:
     if args.paths < 3:
         # one antithetic pair has no sample variance: every |z| would read 0
         raise _InputError(f"--paths must be at least 3 (two antithetic pairs), got {args.paths}")
+    steps = max(tenors) / args.step
+    if not steps <= _MAX_MC_STEPS:
+        raise _InputError(f"--step {args.step:g} over tenor {max(tenors):g} needs "
+                          f"{steps:.6g} Euler steps, more than the {_MAX_MC_STEPS} allowed")
     # one expansion call and one simulation call cover every tenor
     terms = expansion_terms(params, tenors, order=config.order, quad_nodes=config.quad_nodes)
     model_q = survival_approx(params.intensity_leg(), np.asarray(tenors), order=config.order)

@@ -9,27 +9,29 @@ own keeps the iteration bit-for-bit reproducible: fixed coefficients and
 stopping tolerances, no randomized restarts, no adaptive tweaks.
 
 Bounds are handled by reparametrization rather than clipping, so the
-simplex (and the rate fit's solver) always works in an unconstrained space:
+simplex (and the rate fit's solver) always works in an unconstrained space.
+Every model parameter is one of two kinds:
 
     positive     x = exp(z)        (mean-reversion speeds, levels, vols)
     correlation  x = tanh(z)       (rho in [-1, 1])
-    free         x = z
 
 The objective is evaluated in the constrained coordinates; results are
-reported there too.
+reported there too.  The iteration budget is fixed at 4,000.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = ["CalibrationResult", "Transform", "nelder_mead"]
 
-_KINDS = ("free", "positive", "correlation")
+_KINDS = ("positive", "correlation")
+
+# iteration budget; exhausting it returns the best vertex unconverged
+_MAX_ITER = 4000
 
 # reflection / expansion / contraction / shrink
 _RHO, _CHI, _GAMMA, _SIGMA = 1.0, 2.0, 0.5, 0.5
@@ -55,10 +57,7 @@ class Transform:
     def constrain(self, z: np.ndarray) -> np.ndarray:
         x = np.array(z, dtype=float)
         for i, k in enumerate(self.kinds):
-            if k == "positive":
-                x[i] = math.exp(z[i])
-            elif k == "correlation":
-                x[i] = math.tanh(z[i])
+            x[i] = math.exp(z[i]) if k == "positive" else math.tanh(z[i])
         return x
 
     def unconstrain(self, x: np.ndarray) -> np.ndarray:
@@ -68,7 +67,7 @@ class Transform:
                 if x[i] <= 0.0:
                     raise ValueError(f"component {i} must be positive, got {x[i]}")
                 z[i] = math.log(x[i])
-            elif k == "correlation":
+            else:
                 z[i] = math.atanh(min(max(x[i], -_ATANH_CLIP), _ATANH_CLIP))
         return z
 
@@ -77,10 +76,11 @@ class Transform:
 class CalibrationResult:
     """Outcome of one minimization, in constrained coordinates.
 
-    ``residuals`` is filled by the calibration wrappers (one entry per
-    market quote); the bare optimizer leaves it empty.  ``objective`` is
-    the function value at ``x`` -- re-evaluating there must reproduce it
-    to 1e-10, which the tests enforce.
+    ``residuals`` (one entry per market quote) and ``elapsed`` (seconds)
+    are filled by the calibration wrappers; the bare solvers leave them
+    empty and zero.  ``objective`` is the function value at ``x`` --
+    re-evaluating there must reproduce it to 1e-10, which the tests
+    enforce.
     """
 
     x: np.ndarray
@@ -104,43 +104,28 @@ def _initial_simplex(z0: np.ndarray) -> np.ndarray:
     return sim
 
 
-def nelder_mead(
-    objective,
-    x0,
-    transform: Transform | None = None,
-    *,
-    max_iter: int | None = None,
-) -> CalibrationResult:
+def nelder_mead(objective, x0, transform: Transform) -> CalibrationResult:
     """Minimize ``objective`` from ``x0`` with the (1, 2, 0.5, 0.5) simplex.
 
-    Convergence is declared when the simplex diameter (max-norm distance
-    of any vertex from the best one, in unconstrained coordinates) falls
-    below 1e-8 or the objective spread across vertices falls below 1e-12.
-    Exhausting the iteration budget returns the best vertex with
-    ``converged=False`` instead of raising; a non-finite objective at the
-    start is an error.
+    Works in the unconstrained coordinates of ``transform``.  Convergence
+    is declared when the simplex diameter (max-norm distance of any vertex
+    from the best one, in unconstrained coordinates) falls below 1e-8 or
+    the objective spread across vertices falls below 1e-12.  Exhausting the
+    4,000-iteration budget returns the best vertex with ``converged=False``
+    instead of raising; a non-finite objective at the start is an error.
     """
-    t_start = time.perf_counter()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = x0.size
-    if transform is not None and len(transform.kinds) != n:
+    if len(transform.kinds) != n:
         raise ValueError("transform dimension does not match the start point")
-    if max_iter is None:
-        max_iter = 500 * n
-
-    if transform is None:
-        constrain = lambda z: np.array(z, dtype=float)  # noqa: E731
-        z0 = np.array(x0, dtype=float)
-    else:
-        constrain = transform.constrain
-        z0 = transform.unconstrain(x0)
+    z0 = transform.unconstrain(x0)
 
     n_eval = 0
 
     def f(z: np.ndarray) -> float:
         nonlocal n_eval
         n_eval += 1
-        return float(objective(constrain(z)))
+        return float(objective(transform.constrain(z)))
 
     sim = _initial_simplex(z0)
     fvals = np.array([f(z) for z in sim])
@@ -149,7 +134,7 @@ def nelder_mead(
 
     iterations = 0
     converged = False
-    while iterations < max_iter:
+    while iterations < _MAX_ITER:
         order = np.argsort(fvals, kind="stable")
         sim, fvals = sim[order], fvals[order]
 
@@ -187,10 +172,9 @@ def nelder_mead(
 
     best = int(np.argmin(fvals))
     return CalibrationResult(
-        x=constrain(sim[best]),
+        x=transform.constrain(sim[best]),
         objective=float(fvals[best]),
         iterations=iterations,
         n_eval=n_eval,
         converged=converged,
-        elapsed=time.perf_counter() - t_start,
     )

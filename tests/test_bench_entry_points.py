@@ -68,6 +68,17 @@ def test_workload_call_resolves(dotted):
     assert callable(_resolve(dotted))
 
 
+@pytest.mark.parametrize("dotted", ["pricing.price_cds", "pricing.LegValues",
+                                    "expansion.v_expansion", "expansion.h_expansion",
+                                    "simplex.nelder_mead", "simplex.Transform"])
+def test_internal_name_lives_in_its_module_only(dotted):
+    # The package namespace exports what scripts and workloads use; these
+    # serve the library and the traced run, so they resolve at their module.
+    name = dotted.split(".")[1]
+    assert not hasattr(ssrd, name) and name not in ssrd.__all__
+    assert callable(_resolve(dotted))
+
+
 def test_expansion_integrals_share_one_grid():
     # A correlated order-2 ladder on the 11-quote strip at 32 nodes plus a
     # 24-point survival curve: one Gauss-Legendre grid per call keeps the

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ssrd.calibrate
+import ssrd.simplex
 import ssrd.timeint
 from conftest import MARKET_STRIP_MIDS, MARKET_STRIP_TENORS, RATE_FIXTURE, make_model
 from ssrd.calibrate import (
@@ -139,10 +140,11 @@ def test_rate_fit_needs_three_positive_pillars():
         calibrate_rates(curve)
 
 
-def test_rate_fit_warns_on_flat_unit_curve():
+def test_rate_fit_warns_on_flat_unit_curve(monkeypatch):
+    monkeypatch.setattr(ssrd.calibrate, "_LM_MAX_ITER", 50)
     curve = DiscountCurve(tenors=(1.0, 2.0, 3.0), dfs=(1.0, 1.0, 1.0), short_rate=0.0)
     with pytest.warns(RuntimeWarning, match="flat at 1.0"):
-        calibrate_rates(curve, max_iter=50)
+        calibrate_rates(curve)
 
 
 def test_rate_fit_reports_the_work_of_every_start(monkeypatch):
@@ -205,7 +207,7 @@ def test_lm_jacobian_steps_back_at_the_edge_of_the_finite_region():
     def edge(p):
         return np.array([p[0] - 2.0 if p[0] <= 1.0 else np.inf, -1.0])
 
-    res = _levenberg_marquardt(edge, np.array([1.0]), Transform(("positive",)), 50)
+    res = _levenberg_marquardt(edge, np.array([1.0]), Transform(("positive",)))
     assert res.x[0] <= 1.0 and res.objective == pytest.approx(1.0, rel=1e-6)
 
     # Finite at x = 1 alone: no difference can be formed, and the start fails
@@ -214,7 +216,7 @@ def test_lm_jacobian_steps_back_at_the_edge_of_the_finite_region():
         return np.array([0.5 if p[0] == 1.0 else np.inf, -1.0])
 
     with pytest.raises(ValueError, match="either side"):
-        _levenberg_marquardt(point, np.array([1.0]), Transform(("positive",)), 50)
+        _levenberg_marquardt(point, np.array([1.0]), Transform(("positive",)))
 
 
 # --------------------------------------------------------------------------
@@ -294,7 +296,7 @@ def test_credit_fit_reported_objective_is_bare_weighted_ssr():
     assert res.objective == pytest.approx(ssr, abs=1e-10)
 
 
-def test_credit_fit_excludes_feller_penalty_from_reported_objective():
+def test_credit_fit_excludes_feller_penalty_from_reported_objective(monkeypatch):
     # One iteration from a grossly Feller-violating start leaves the answer
     # in penalty territory; the reported objective must still be the bare
     # weighted residual sum, orders of magnitude below the penalty.
@@ -302,26 +304,29 @@ def test_credit_fit_excludes_feller_penalty_from_reported_objective():
     quotes = _synthetic_quotes(model, (1.0, 2.0, 3.0))
     bad_start = np.array([0.01, 0.001, 0.8, 0.01])
     assert _feller_penalty(*bad_start[:3]) > 1e5
+    monkeypatch.setattr(ssrd.simplex, "_MAX_ITER", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         res = calibrate_cds(quotes, RATE, 0.05, CFG, weights="uniform",
-                            correlated=False, initial=bad_start, max_iter=1)
+                            correlated=False, initial=bad_start)
     assert not res.converged
     assert res.objective < 1.0  # decimal spread units; the penalty would be ~1e5
 
 
-def test_credit_fit_warns_when_under_determined():
+def test_credit_fit_warns_when_under_determined(monkeypatch):
+    monkeypatch.setattr(ssrd.simplex, "_MAX_ITER", 5)
     model = make_model("mid1")
     quotes = _synthetic_quotes(model, (1.0, 2.0, 3.0))
     with pytest.warns(RuntimeWarning, match="under-determined"):
         calibrate_cds(quotes, RATE, 0.05, CFG, weights="uniform",
-                      correlated=True, max_iter=5)
+                      correlated=True)
 
 
-def test_credit_fit_is_deterministic():
+def test_credit_fit_is_deterministic(monkeypatch):
+    monkeypatch.setattr(ssrd.simplex, "_MAX_ITER", 60)
     model = make_model("mid2", rho=0.0)
     quotes = _synthetic_quotes(model, (1.0, 2.0, 3.0, 4.0, 5.0))
-    kw = dict(weights="uniform", correlated=False, max_iter=60)
+    kw = dict(weights="uniform", correlated=False)
     a = calibrate_cds(quotes, RATE, 0.05, CFG, **kw)
     b = calibrate_cds(quotes, RATE, 0.05, CFG, **kw)
     assert np.array_equal(a.x, b.x)
@@ -363,9 +368,10 @@ def test_credit_fit_counts_a_refused_trial_point_as_infinite(monkeypatch):
     quotes = _synthetic_quotes(make_model("mid2", rho=0.0), (1.0, 2.0, 3.0, 4.0, 5.0))
     start = np.array([1.79, 0.18416, 0.07196, 0.01103])
     monkeypatch.setattr(ssrd.timeint, "_MAX_GAPS", 10)
+    monkeypatch.setattr(ssrd.simplex, "_MAX_ITER", 200)
     monkeypatch.setattr(ssrd.calibrate, "spread_ladder", counting_ladder)
     res = calibrate_cds(quotes, RATE, 0.05, CFG, weights="uniform", correlated=False,
-                        initial=start, max_iter=200)
+                        initial=start)
     assert refused > 0
     assert math.isfinite(res.objective) and RATE.alpha + res.x[0] <= 2.0
 

@@ -216,6 +216,19 @@ def test_match_vol_needs_a_horizon(market_dir, capsys):
     assert "need --tmax or --quotes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tmax", ["0", "-1", "inf", "nan"])
+def test_match_vol_checks_the_horizon_before_the_fit(market_dir, capsys, monkeypatch, tmax):
+    def no_fit(curve):
+        raise AssertionError("the rate fit ran")
+
+    monkeypatch.setattr(ssrd.cli, "calibrate_rates", no_fit)
+    code = run_cli("match-vol", "--curve", str(market_dir / "curve.csv"), "--tmax", tmax)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: matching horizon must be positive and finite, got {float(tmax)}\n"
+    )
+
+
 def test_calibrate_cds_end_to_end(market_dir, tmp_path, capsys):
     out = tmp_path / "c"
     code = run_cli("calibrate-cds", "--curve", str(market_dir / "curve.csv"),
@@ -304,6 +317,39 @@ def test_mc_check_rejects_fewer_than_two_antithetic_pairs(market_dir, capsys, pa
     assert code == 2
     err = capsys.readouterr().err
     assert "--paths must be at least 3" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(("step", "count"), [("1e-12", "1e+12"), ("1e-300", "1e+300"),
+                                             ("5e-324", "inf"), ("4.99e-07", "2.00401e+06")])
+def test_mc_check_refuses_an_euler_grid_it_cannot_finish(market_dir, capsys, monkeypatch,
+                                                         step, count):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("the simulation ran")
+
+    monkeypatch.setattr(ssrd.cli, "mc_estimate", no_simulation)
+    code = run_cli("mc-check", "--params", str(market_dir / "params.txt"),
+                   "--config", str(market_dir / "config.txt"),
+                   "--tenors", "0.5,1", "--paths", "3", "--step", step)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: --step {float(step):g} over tenor 1 needs {count} Euler steps, "
+        f"more than the 1000000 allowed\n"
+    )
+
+
+def test_mc_check_runs_a_grid_of_a_million_steps(market_dir, monkeypatch):
+    # 1 / 1e-6 rounds to 999999.9999999999 steps: at the limit, not past it
+    steps = []
+
+    def spy(params, T, *, config, at):
+        steps.append(math.ceil(T / config.step))
+        return [{"v": (1.0, 0.1), "h": (1.0, 0.1), "q": (1.0, 0.1)} for _ in at]
+
+    monkeypatch.setattr(ssrd.cli, "mc_estimate", spy)
+    code = run_cli("mc-check", "--params", str(market_dir / "params.txt"),
+                   "--config", str(market_dir / "config.txt"),
+                   "--tenors", "1", "--paths", "3", "--step", "1e-6")
+    assert code == 0 and steps == [1_000_000]
 
 
 def test_nonconverged_calibration_exits_three(market_dir, capsys, monkeypatch):
@@ -473,20 +519,21 @@ def test_model_the_pricing_grid_refuses_exits_two(market_dir, tmp_path, capsys):
         )
 
 
-def test_full_pipeline_on_a_humped_curve_ends_with_a_message(market_dir, tmp_path):
-    # No CIR curve has this hump, and the rate fit answers it with alpha1 near
-    # 3.5e8; a credit ladder at that speed would need 1.8e9 grid gaps (13 GiB
-    # for its gap index alone).  The child runs under a 4 GB address-space
-    # cap, so that a regression fails here instead of taking the host's memory.
-    import resource
-
+def _bent_curve(path, a):
+    """The fixture curve times exp(-a t^2 e^{-t/2}): a hump for a > 0, a dip for a < 0."""
     pillars = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0)
     lines = ["# mode=df", f"# r0={RATE.x0!r}"] + [
-        f"{t!r},{float(cir_bond(RATE, 0.0, t)) * math.exp(-0.01 * t * t * math.exp(-t / 2))!r}"
+        f"{t!r},{float(cir_bond(RATE, 0.0, t)) * math.exp(-a * t * t * math.exp(-t / 2))!r}"
         for t in pillars
     ]
-    curve = tmp_path / "humped.csv"
-    curve.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _run_capped(*argv):
+    """``python -m ssrd`` in a child under a 4 GB address-space cap and a 10 s timeout,
+    so that a regression fails here instead of taking the host's memory."""
+    import resource
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (4_000_000_000, 4_000_000_000))
@@ -494,16 +541,47 @@ def test_full_pipeline_on_a_humped_curve_ends_with_a_message(market_dir, tmp_pat
     src = str(Path(ssrd.cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "ssrd", "full-pipeline", "--curve", str(curve),
-         "--quotes", str(market_dir / "quotes.csv"), "--config", str(market_dir / "config.txt")],
-        capture_output=True, text=True, env=env, timeout=10, preexec_fn=cap,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert re.fullmatch(r"error: credit fit cannot start: the pricing grid refuses its decay "
-                        r"rate alpha1 \+ alpha2 \(decay rate 3\.5\d+e\+08 over \[0, 5\] "
-                        r"needs \S+ grid gaps, more than the 16384 allowed\)\n", proc.stderr)
+    return subprocess.run([sys.executable, "-m", "ssrd", *argv], capture_output=True,
+                          text=True, env=env, timeout=10, preexec_fn=cap)
+
+
+_BOUND_WARNING = (r"\S+\.py:\d+: RuntimeWarning: rate fit ended on the "
+                  r"mean-reversion bound: alpha1 = 49\.99\d+, bound 50\n.*\n")
+
+
+def test_full_pipeline_on_a_humped_curve_ends_with_a_message(market_dir, tmp_path):
+    # No CIR curve has this hump.  Unbounded, the rate fit answered it with
+    # alpha1 near 3.5e8, and a credit ladder at that speed would need 1.8e9
+    # grid gaps (13 GiB for its gap index alone).  The fit now stops on the
+    # bound alpha1 = 50 and says so: no convergence, exit 3.
+    curve = _bent_curve(tmp_path / "humped.csv", 0.01)
+    proc = _run_capped("full-pipeline", "--curve", str(curve),
+                       "--quotes", str(market_dir / "quotes.csv"),
+                       "--config", str(market_dir / "config.txt"))
+    assert proc.returncode == 3
+    assert re.fullmatch(_BOUND_WARNING, proc.stderr)
+    assert re.search(r"^\s*alpha1\s+= 50$", proc.stdout, re.M)
+    assert re.search(r"^\s*converged\s+= false$", proc.stdout, re.M)
+
+
+def test_calibrate_rates_on_a_humped_curve_exits_three(tmp_path):
+    curve = _bent_curve(tmp_path / "humped.csv", 0.01)
+    proc = _run_capped("calibrate-rates", "--curve", str(curve))
+    assert proc.returncode == 3
+    assert re.fullmatch(_BOUND_WARNING, proc.stderr)
+    assert re.search(r"^\s*converged\s+= false$", proc.stdout, re.M)
+
+
+def test_full_pipeline_on_a_dipped_curve_converges(market_dir, tmp_path):
+    # The mirror image of the hump is fitted with alpha1 near 5.7e-7, far
+    # below the bound.
+    curve = _bent_curve(tmp_path / "dipped.csv", -0.01)
+    proc = _run_capped("full-pipeline", "--curve", str(curve),
+                       "--quotes", str(market_dir / "quotes.csv"),
+                       "--config", str(market_dir / "config.txt"))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert re.search(r"^\s*alpha1\s+= 5\.\d+e-07$", proc.stdout, re.M)
 
 
 def test_fixed_roll_from_the_first_date_prices(market_dir, tmp_path, capsys):
