@@ -140,7 +140,9 @@ _ALPHA_MAX = 50.0
 
 def _one_sided(r: np.ndarray) -> np.ndarray:
     """Residuals as they enter the sum of squares: the last one only when positive."""
-    return np.append(r[:-1], max(0.0, r[-1]))
+    counted = r.copy()
+    counted[-1] = max(0.0, r[-1])
+    return counted
 
 
 def _sum_sq(r: np.ndarray) -> float:
@@ -180,7 +182,7 @@ def _levenberg_marquardt(residuals, x0: np.ndarray, transform: Transform) -> Cal
             r = np.asarray(residuals(transform.constrain(z)), dtype=float)
         except (OverflowError, ValueError):  # exp overflow, or a parameter out of its domain
             return None
-        return r if np.all(np.isfinite(r)) else None
+        return r if np.isfinite(r).all() else None
 
     def jacobian(z: np.ndarray, r: np.ndarray) -> np.ndarray:
         jac = np.empty((r.size, z.size))
@@ -202,7 +204,9 @@ def _levenberg_marquardt(residuals, x0: np.ndarray, transform: Transform) -> Cal
     def damped_step(jac: np.ndarray, r: np.ndarray, mu: float, active: bool) -> np.ndarray:
         if not active:
             jac, r = jac[:-1], r[:-1]
-        return np.linalg.solve(jac.T @ jac + mu * np.eye(jac.shape[1]), -(jac.T @ r))
+        normal = jac.T @ jac
+        normal.flat[::normal.shape[0] + 1] += mu  # J'J + mu I
+        return np.linalg.solve(normal, -(jac.T @ r))
 
     z = transform.unconstrain(np.asarray(x0, dtype=float))
     r = resid(z)
@@ -211,11 +215,11 @@ def _levenberg_marquardt(residuals, x0: np.ndarray, transform: Transform) -> Cal
     ssr = _sum_sq(r)
     jac = jacobian(z, r)
     rows = jac if r[-1] > 0.0 else jac[:-1]
-    mu = _LM_TAU * float(np.max(np.sum(rows * rows, axis=0)))
+    mu = _LM_TAU * float((rows * rows).sum(axis=0).max())
     nu = 2.0
 
     iterations = 0
-    converged = not np.any(jac.T @ _one_sided(r))
+    converged = not (jac.T @ _one_sided(r)).any()
     while not converged and iterations < _LM_MAX_ITER:
         iterations += 1
         step = damped_step(jac, r, mu, r[-1] > 0.0)
@@ -239,7 +243,7 @@ def _levenberg_marquardt(residuals, x0: np.ndarray, transform: Transform) -> Cal
             jac = jacobian(z, r)
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             nu = 2.0
-            converged = converged or not np.any(jac.T @ _one_sided(r))
+            converged = converged or not (jac.T @ _one_sided(r)).any()
         else:
             mu *= nu
             nu *= 2.0
@@ -290,8 +294,10 @@ def calibrate_rates(curve: DiscountCurve) -> CalibrationResult:
         alpha, beta, sigma = p
         if alpha > _ALPHA_MAX:
             raise ValueError(f"alpha1 = {alpha:g} is above the bound {_ALPHA_MAX:g}")
-        model = cir_bond(CirParams(alpha, beta, sigma, r0), 0.0, tenors)
-        return np.append(model - dfs, -1e3 * feller_margin(alpha, beta, sigma))
+        out = np.empty(tenors.size + 1)
+        out[:-1] = cir_bond(CirParams(alpha, beta, sigma, r0), 0.0, tenors) - dfs
+        out[-1] = -1e3 * feller_margin(alpha, beta, sigma)
+        return out
 
     t_start = time.perf_counter()
     transform = Transform(("positive", "positive", "positive"))
@@ -482,7 +488,7 @@ def calibrate_cds(
             resid = spreads_at(p, loop_config) - targets
         except _GridLimitError:  # a trial point the pricing grid refuses
             return math.inf
-        return float(np.sum(weight_arr * resid**2)) + _feller_penalty(p[0], p[1], p[2])
+        return float((weight_arr * resid**2).sum()) + _feller_penalty(p[0], p[1], p[2])
 
     if initial is None:
         h_short = float(targets[0]) / lgd

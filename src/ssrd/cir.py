@@ -21,6 +21,7 @@ probability off the intensity factor; the state x is always ``params.x0``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ class CirParams:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
         if not (self.x0 >= 0.0):
             raise ValueError(f"x0 must be non-negative, got {self.x0}")
-        if not np.isfinite([self.alpha, self.beta, self.sigma, self.x0]).all():
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.sigma, self.x0))):
             raise ValueError("parameters must be finite")
 
 
@@ -59,19 +60,23 @@ def feller_margin(alpha: float, beta: float, sigma: float) -> float:
 def _affine_coefficients(params: CirParams, tau):
     alpha, sigma = params.alpha, params.sigma
     sig2 = sigma * sigma
-    h = np.sqrt(alpha * alpha + 2.0 * sig2)
+    h = math.sqrt(alpha * alpha + 2.0 * sig2)
     u = -np.expm1(-h * tau)
     denom = 2.0 * h * np.exp(-h * tau) + (alpha + h) * u
     b = 2.0 * u / denom
 
     q = sig2 / (h * (h + alpha))
     qu = q * u
-    # log1p(-qu)/sigma^2 with the exact sigma -> 0 limit -u/(h(h+alpha)).
+    # log1p(-qu)/sigma^2 with the exact sigma -> 0 limit -u/(h(h+alpha)),
+    # each branch evaluated only when some maturity takes it.
     small = np.abs(qu) < 1e-4
-    sig2_safe = np.where(small, 1.0, sig2)
-    direct = np.log1p(-np.where(small, 0.0, qu)) / sig2_safe
-    series = -(u / (h * (h + alpha))) * (1.0 + qu * (0.5 + qu / 3.0))
-    corr = np.where(small, series, direct)
+    if not small.any():
+        corr = np.log1p(-qu) / sig2
+    else:
+        corr = -(u / (h * (h + alpha))) * (1.0 + qu * (0.5 + qu / 3.0))
+        if not small.all():
+            direct = np.log1p(-np.where(small, 0.0, qu)) / np.where(small, 1.0, sig2)
+            corr = np.where(small, corr, direct)
     log_a = 2.0 * alpha * params.beta * (-tau / (alpha + h) - corr)
     return log_a, b, h, u, denom
 
@@ -82,7 +87,7 @@ def cir_bond(params: CirParams, t: float, T):
     ``T`` may be a scalar or array of maturities >= t.
     """
     T = np.asarray(T, dtype=float)
-    if np.any(T < t):
+    if (T < t).any():
         raise ValueError("maturity before evaluation time")
     log_a, b, _, _, _ = _affine_coefficients(params, T - t)
     out = np.exp(log_a - b * params.x0)
@@ -98,7 +103,7 @@ def cir_bond_dT(params: CirParams, t: float, T):
     At T = t this equals -x (the instantaneous forward of the factor).
     """
     T = np.asarray(T, dtype=float)
-    if np.any(T < t):
+    if (T < t).any():
         raise ValueError("maturity before evaluation time")
     x = params.x0
     tau = T - t

@@ -115,6 +115,15 @@ def _timing(seconds: float) -> str:
     return f"{seconds:.3f}"
 
 
+def _recorded(run):
+    """``run()`` with every warning it raises recorded instead of printed: its
+    result and the warnings' messages, each once, for the report's notes."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run()
+    return result, tuple(dict.fromkeys(str(w.message) for w in caught))
+
+
 def _emit(report: CalibrationReport, out_dir: str | None) -> None:
     text = report.text()
     sys.stdout.write(text)
@@ -154,7 +163,7 @@ def _cmd_rates(args) -> tuple[CalibrationReport, int]:
             raise _InputError("need --tmax or --quotes to set the matching horizon")
         if not (t_max > 0.0 and math.isfinite(t_max)):
             raise _InputError(f"matching horizon must be positive and finite, got {t_max}")
-    res = calibrate_rates(curve)
+    res, notes = _recorded(lambda: calibrate_rates(curve))
     fit = CirParams(float(res.x[0]), float(res.x[1]), float(res.x[2]), curve.short_rate)
     headers, rows = (), []
     if matching:
@@ -183,6 +192,7 @@ def _cmd_rates(args) -> tuple[CalibrationReport, int]:
         params=_rate_block(fit) + block,
         timings=(("rates", _timing(res.elapsed)),),
         config_echo=(("curve", args.curve),),
+        notes=notes,
     )
     return report, 0 if res.converged else 3
 
@@ -193,9 +203,9 @@ def _cmd_pipeline(args) -> tuple[CalibrationReport, int]:
     quotes = load_cds_quotes(_require(args.quotes, "--quotes"))
     config = _effective_config(args)
     correlated = args.correlated != "no"
-    result = run_pipeline(
+    result, notes = _recorded(lambda: run_pipeline(
         curve, quotes, config, weights=args.weights, correlated=correlated
-    )
+    ))
     model_spreads = [s for _, s in result.repriced]
     headers = ("tenor", "market_bps", "model_bps", "rel_error_pct")
     rows = tuple(
@@ -233,6 +243,7 @@ def _cmd_pipeline(args) -> tuple[CalibrationReport, int]:
             config, weights=args.weights, correlated=correlated,
             curve=args.curve, quotes=args.quotes,
         ),
+        notes=notes,
     )
     return report, 0 if converged else 3
 
@@ -273,9 +284,7 @@ def _cmd_survival(args) -> tuple[CalibrationReport, int]:
 def _cmd_bootstrap(args) -> tuple[CalibrationReport, int]:
     quotes = load_cds_quotes(_require(args.quotes, "--quotes"))
     config = _effective_config(args)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        q = bootstrap_survival(quotes, config.recovery, mode=args.mode)
+    q, notes = _recorded(lambda: bootstrap_survival(quotes, config.recovery, mode=args.mode))
     rows = tuple(
         (f"{T:g}", f"{mid:.3f}", fmt_prob(v))
         for T, mid, v in zip(quotes.tenors, quotes.mid_bps, q)
@@ -286,7 +295,7 @@ def _cmd_bootstrap(args) -> tuple[CalibrationReport, int]:
         rows=rows,
         params=(("mode", args.mode), ("recovery", fmt_param(config.recovery))),
         config_echo=_config_echo(config, quotes=args.quotes),
-        notes=tuple(str(w.message) for w in caught),
+        notes=notes,
     )
     return report, 0
 

@@ -31,6 +31,8 @@ with c11 and c22 the closed-form variances of each leg.  Every integral
 here starts at time 0 and is a running integral, up to each maturity or grid
 node, on one Gauss-Legendre grid over [0, sorted maturities]; no quadrature
 is nested in another, and v2 is a running integral of running integrals.
+The grid comes from ``timeint._running_grid``, so calls on the same
+maturities whose decay rate cuts them alike share it.
 
 The one-leg survival expansion (``proxy_bond_expansion``) needs no grid: its
 sigma^2 and sigma^4 coefficients are closed forms in alpha * tau, with
@@ -58,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cir import CirParams
-from .timeint import _RunningGrid, psi
+from .timeint import _RunningGrid, _running_grid, psi
 
 __all__ = [
     "ModelParams",
@@ -158,8 +160,11 @@ def _psi_theta(a, t):
     """
     w = psi(-a, 0.0, t)
     at = a * t
+    small = np.abs(at) < 1e-5
+    if not small.any():  # the series only when some point needs it
+        return w, (t - w) / a
     series = t * t * (0.5 - at * (1.0 / 6.0 - at / 24.0))
-    return w, np.where(np.abs(at) < 1e-5, series, (t - w) / a)
+    return w, np.where(small, series, (t - w) / a)
 
 
 class _ProxyMoments:
@@ -168,21 +173,20 @@ class _ProxyMoments:
 
     psi(-a, 0, t), e^{-a t} and theta(-a, a, 0, t) are evaluated once, one
     array op each for both legs and all times: row 0 is the rate, row 1 the
-    intensity; the columns are the grid's nodes, flattened, then the
-    maturities.  The variances are the exact per-leg ones; the covariance
-    c12 freezes sqrt(rbar lbar) along the mean path and is the only one that
-    needs the grid.
+    intensity; the columns are the grid's ``times``: its nodes, flattened,
+    then its points, the maturities.  The variances are the exact per-leg
+    ones; the covariance c12 freezes sqrt(rbar lbar) along the mean path and
+    is the only one that needs the grid.
     """
 
-    def __init__(self, params: ModelParams, grid: _RunningGrid, T: np.ndarray):
+    def __init__(self, params: ModelParams, grid: _RunningGrid):
         p = params
         self.p, self.grid = p, grid
         self.alpha = np.array([[p.alpha1], [p.alpha2]])
         self.beta = np.array([[p.beta1], [p.beta2]])
         self.x0 = np.array([[p.r0], [p.lambda0]])
-        t = np.concatenate((grid.nodes.ravel(), T.ravel()))
-        self.psi, self.theta = _psi_theta(self.alpha, t)
-        self.decay = np.exp(-self.alpha * t)
+        self.psi, self.theta = _psi_theta(self.alpha, grid.times)
+        self.decay = np.exp(-self.alpha * grid.times)
 
     def node_part(self, f):
         """The node columns of f, in the grid's shape."""
@@ -266,10 +270,11 @@ def _expand(params: ModelParams, T: np.ndarray, order: int, n_nodes: int):
     cancels.
     """
     p = params
-    # Gaps are cut to at most 1/(a1+a2), the fastest decay among the kernels.
-    grid = _RunningGrid(T, n_nodes, p.alpha1 + p.alpha2)
+    # Gaps are cut to at most 1/(a1+a2), the fastest decay among the kernels;
+    # every trial point that cuts them alike shares one grid.
+    grid = _running_grid(T, n_nodes, p.alpha1 + p.alpha2)
     s = grid.nodes
-    mom = _ProxyMoments(p, grid, T)
+    mom = _ProxyMoments(p, grid)
     w, th = mom.psi, mom.theta
     v0 = np.exp(-p.r0 * w[0] - p.alpha1 * p.beta1 * th[0]
                 - p.lambda0 * w[1] - p.alpha2 * p.beta2 * th[1])
@@ -405,11 +410,11 @@ def _scaled_coefficients(x: np.ndarray) -> np.ndarray:
     small = np.abs(x) < _SERIES_SWITCH
     if small.any():
         xs = x[small]
-        out[:, small] = np.sum(_SERIES * (xs ** _SERIES_POWERS)[:, None], axis=0)
+        out[:, small] = (_SERIES * (xs ** _SERIES_POWERS)[:, None]).sum(axis=0)
     if not small.all():
         xc = x[~small]
         k, m = _FLAT[:, 2:3], _FLAT[:, 3:4]
-        numer = np.sum(_WEIGHTS * (xc ** k * np.exp(-m * xc))[:, None], axis=0)
+        numer = (_WEIGHTS * (xc ** k * np.exp(-m * xc))[:, None]).sum(axis=0)
         out[:, ~small] = numer / (_DEN * xc ** _DEN_POWER)
     return out
 

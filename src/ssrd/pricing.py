@@ -89,15 +89,14 @@ def _legs(
     (1 - recovery) int_0^{t_i} h ds, and the annuity int_0^{t_i} h(s) (s -
     t_prev(s)) ds + sum_{j <= i} dt_j v(t_j).  One expansion call gives h at
     the grid's nodes and v at the dates.  Both integrals are running
-    integrals on that grid, whose ``lower`` is t_prev on every gap, and
-    they take h with any leading axes.
+    integrals on that grid, whose ``offsets`` are s - t_prev(s) at every
+    node; they take h with any leading axes, and one stacked call reads both.
     """
     times = np.asarray(schedule.times, dtype=float)
     accruals = np.asarray(schedule.accruals, dtype=float)
     grid, at_nodes, at_times = _expand(params, times, config.order, config.quad_nodes)
     h = at_nodes.h()
-    prot = grid.at_points(h)
-    acc = grid.at_points(h * (grid.nodes - grid.lower[:, None]))
+    prot, acc = grid.at_points(np.stack((h, h * grid.offsets)))
     return (1.0 - config.recovery) * prot, acc + np.cumsum(accruals * at_times.v(), axis=-1)
 
 

@@ -12,11 +12,20 @@ Taylor series.  The switches do not hold ``theta`` to 1e-12: against
 60-digit ``decimal``, theta(-a, a, 0, t) is off by up to about 4e-11
 relative on its direct branch just above |a t| = 1e-5 (about 4e-12 in
 [1e-4, 1e-3], falling tenfold per decade), and by up to 8e-12 on its
-first-order series just below.
+first-order series just below.  ``exp_integral`` evaluates its series only
+when some exponent needs it.
+
+The running grid (``_RunningGrid``) carries the expansion's running
+integrals.  It depends on the model only through how many pieces each gap
+is cut into, so this module owns its lifetime: ``_running_grid`` keeps the
+last grid it built, read-only, and hands it out again for the same points,
+node count and cut counts.  Every trial point of a calibration on one
+coupon strip then shares one grid.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import accumulate
 
@@ -48,6 +57,8 @@ def exp_integral(a, d):
     """E(a, d) = int_0^d e^{a w} dw, stable for all a including a = 0."""
     a, d = _as_float_arrays(a, d)
     small = np.abs(a) < 1e-12
+    if not small.any():  # the series only when some exponent needs it
+        return _maybe_scalar(np.expm1(a * d) / a, a, d)
     a_safe = np.where(small, 1.0, a)
     ad = a * d
     direct = np.expm1(a_safe * d) / a_safe
@@ -167,9 +178,24 @@ class _GridLimitError(ValueError):
 
 
 # Gaps of one running grid.  An order-2 ladder at 32 nodes on a grid this
-# size allocates at most about 220 MiB, most of it the (gaps, n, n) product
-# in ``_within``; alpha2 = 1e3 on a six-year semiannual strip needs 6,012.
+# size allocates at most about 120 MiB, nearly all of it arrays of one or two
+# values per node; alpha2 = 1e3 on a six-year semiannual strip needs 6,012.
 _MAX_GAPS = 16_384
+
+# Elements of one block of ``_within``'s (gaps, n, n) product: 2 MiB.
+_WITHIN_BLOCK = 2 ** 18
+
+
+def _cuts(gaps: np.ndarray, span: float, rate: float) -> np.ndarray:
+    """How many equal pieces each gap of [0, span] is cut into; refuses more
+    than ``_MAX_GAPS`` in all."""
+    pieces = np.ceil(rate * gaps).clip(1)
+    if not pieces.sum() <= _MAX_GAPS:  # also refuses a NaN count
+        raise _GridLimitError(
+            f"decay rate {rate:.6g} over [0, {span:g}] needs "
+            f"{pieces.sum():.6g} grid gaps, more than the {_MAX_GAPS} allowed"
+        )
+    return pieces.astype(int)
 
 
 class _RunningGrid:
@@ -184,18 +210,21 @@ class _RunningGrid:
     end before the cut: the largest of 0 and the points below the gap.  A
     grid of more than ``_MAX_GAPS`` gaps is refused before anything is
     allocated.
+
+    Besides the nodes and weights, a grid keeps every array that depends on
+    nothing but the points, n and the cuts: ``times`` (the nodes, flattened,
+    then the points), ``offsets`` (each node minus its gap's ``lower``), the
+    half widths, and the uncut ``gaps`` with their ``pieces``.  All of its
+    arrays are read-only, so one grid serves any number of calls: it lives
+    as long as ``_running_grid`` keeps handing it out, one grid per (points,
+    n, cut counts).
     """
 
     def __init__(self, points, n: int, rate: float):
         breaks = np.unique(np.append(0.0, points))
-        gaps = np.diff(breaks)
-        pieces = np.ceil(rate * gaps).clip(1)
-        if not pieces.sum() <= _MAX_GAPS:  # also refuses a NaN count
-            raise _GridLimitError(
-                f"decay rate {rate:.6g} over [0, {breaks[-1]:g}] needs "
-                f"{pieces.sum():.6g} grid gaps, more than the {_MAX_GAPS} allowed"
-            )
-        pieces = pieces.astype(int)
+        gaps = self.gaps = np.diff(breaks)
+        self.span = float(breaks[-1])
+        pieces = self.pieces = _cuts(gaps, self.span, rate)
         gap = np.repeat(np.arange(gaps.size), pieces)
         step = np.arange(gap.size) - np.searchsorted(gap, gap)
         self.lower = breaks[gap]
@@ -204,12 +233,19 @@ class _RunningGrid:
         self.index = np.searchsorted(breaks, points)
         self.nodes, self.weights = gauss_legendre(breaks[:-1], breaks[1:], n)
         self.matrix = _running_matrix(n)
+        self.times = np.concatenate((self.nodes.ravel(), np.ravel(points)))
+        self.offsets = self.nodes - self.lower[:, None]
+        self.half = 0.5 * self.widths[:, None]
+        self.shifted = _leggauss(n)[0] + 1.0  # the nodes on [0, 2]
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):  # a scalar point's index is a scalar
+                value.flags.writeable = False
 
     def _before(self, f):
         # value at every break: 0, then the per-gap totals summed in order
-        steps = np.sum(self.weights * f, axis=-1)
+        steps = (self.weights * f).sum(axis=-1)
         return np.concatenate((np.zeros(steps.shape[:-1] + (1,)),
-                               np.cumsum(steps, axis=-1)), axis=-1)
+                               steps.cumsum(axis=-1)), axis=-1)
 
     def at_points(self, f):
         """int_0^T f for every point T, in the points' shape."""
@@ -218,9 +254,18 @@ class _RunningGrid:
     def _within(self, f):
         # int from each gap's lower end to each of its nodes; elementwise
         # product and sum, not matmul, so a row's value cannot depend on how
-        # many rows there are
-        inside = np.sum(f[..., None, :] * self.matrix, axis=-1)
-        return 0.5 * self.widths[:, None] * inside
+        # many rows there are, and summed a block of gaps at a time, so the
+        # (gaps, n, n) product never exceeds _WITHIN_BLOCK elements
+        per_gap = math.prod(f.shape[:-2]) * f.shape[-1] * self.matrix.shape[0]
+        rows = max(1, _WITHIN_BLOCK // max(per_gap, 1))
+        if rows >= f.shape[-2]:
+            inside = (f[..., None, :] * self.matrix).sum(axis=-1)
+        else:
+            inside = np.empty(f.shape)
+            for lo in range(0, f.shape[-2], rows):
+                block = f[..., lo:lo + rows, None, :] * self.matrix
+                inside[..., lo:lo + rows, :] = block.sum(axis=-1)
+        return self.half * inside
 
     def at_nodes(self, f):
         """int_0^u f for every node u; result shape f.shape."""
@@ -233,16 +278,38 @@ class _RunningGrid:
         carried from gap to gap, B(hi) = e^{-a h} (B(lo) + int_lo^hi e^{a (v-lo)} f),
         with the weight e^{a (v-lo)} local to each gap, so nothing grows with u.
         """
-        h = self.widths
         # offsets from each gap's lower end, not nodes - lo, whose rounding
         # at large u would be magnified by a
-        x = _leggauss(self.matrix.shape[0])[0]
-        local = np.exp(a * 0.5 * h[:, None] * (x + 1.0))
+        local = np.exp(a * self.half * self.shifted)
         g = local * f
-        steps = zip(np.exp(-a * h).tolist(), np.sum(self.weights * g, axis=-1).tolist())
+        steps = zip(np.exp(-a * self.widths).tolist(), (self.weights * g).sum(axis=-1).tolist())
         carried = accumulate(steps, lambda b, step: step[0] * (b + step[1]), initial=0.0)
-        at_breaks = np.fromiter(carried, float, count=h.size + 1)
+        at_breaks = np.fromiter(carried, float, count=self.widths.size + 1)
         return (at_breaks[:-1, None] + self._within(g)) / local, at_breaks[self.index]
+
+
+# The grid ``_running_grid`` built last, under its points' bytes and shape
+# and n.  One entry, so it holds at most one grid, nearly all of it four
+# arrays of one double per node: 16.4 MiB at the gap limit with 32 nodes,
+# 4 KiB for a six-year semiannual strip at 8.
+_grid_cache: dict = {}
+
+
+def _running_grid(points: np.ndarray, n: int, rate: float) -> _RunningGrid:
+    """The ``_RunningGrid`` of float array ``points``, n nodes and decay rate
+    ``rate``, built once per (points, n, cut counts).
+
+    A grid depends on the rate only through its cut counts, so every rate
+    that cuts the gaps alike gets the same grid.  A grid of more than
+    ``_MAX_GAPS`` gaps is refused before it is built.
+    """
+    key = (points.tobytes(), points.shape, n)
+    grid = _grid_cache.get(key)
+    if grid is None or not (_cuts(grid.gaps, grid.span, rate) == grid.pieces).all():
+        grid = _RunningGrid(points, n, rate)
+        _grid_cache.clear()
+        _grid_cache[key] = grid
+    return grid
 
 
 def panel_nodes(breaks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -87,6 +87,7 @@ def test_expansion_integrals_share_one_grid():
     config = ssrd.PricingConfig(roll="anniversary", order=2, quad_nodes=32)
     schedule = ssrd.build_schedule(None, max(MARKET_STRIP_TENORS), config)
     ends = [len(ssrd.build_schedule(None, t, config).times) for t in MARKET_STRIP_TENORS]
+    ssrd.timeint._grid_cache.clear()  # so the ladder builds its grid
     tracer = _tracer_module().Tracer()
     tracer.install()
     try:
@@ -119,6 +120,7 @@ def test_ladder_prices_on_the_coupon_grid_itself():
     config = ssrd.PricingConfig(roll="anniversary", order=2, quad_nodes=32)
     schedule = ssrd.build_schedule(None, max(MARKET_STRIP_TENORS), config)
     ends = [len(ssrd.build_schedule(None, t, config).times) for t in MARKET_STRIP_TENORS]
+    ssrd.timeint._grid_cache.clear()  # so the ladder builds its grid
     tracer = _tracer_module().Tracer()
     tracer.install()
     try:

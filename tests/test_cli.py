@@ -545,8 +545,9 @@ def _run_capped(*argv):
                           text=True, env=env, timeout=10, preexec_fn=cap)
 
 
-_BOUND_WARNING = (r"\S+\.py:\d+: RuntimeWarning: rate fit ended on the "
-                  r"mean-reversion bound: alpha1 = 49\.99\d+, bound 50\n.*\n")
+# The rate fit's warning, recorded as a report note; none reaches stderr.
+_BOUND_NOTE = (r"^note: rate fit ended on the mean-reversion bound: "
+               r"alpha1 = 49\.99\d+, bound 50$")
 
 
 def test_full_pipeline_on_a_humped_curve_ends_with_a_message(market_dir, tmp_path):
@@ -559,7 +560,8 @@ def test_full_pipeline_on_a_humped_curve_ends_with_a_message(market_dir, tmp_pat
                        "--quotes", str(market_dir / "quotes.csv"),
                        "--config", str(market_dir / "config.txt"))
     assert proc.returncode == 3
-    assert re.fullmatch(_BOUND_WARNING, proc.stderr)
+    assert proc.stderr == ""
+    assert re.search(_BOUND_NOTE, proc.stdout, re.M)
     assert re.search(r"^\s*alpha1\s+= 50$", proc.stdout, re.M)
     assert re.search(r"^\s*converged\s+= false$", proc.stdout, re.M)
 
@@ -568,8 +570,25 @@ def test_calibrate_rates_on_a_humped_curve_exits_three(tmp_path):
     curve = _bent_curve(tmp_path / "humped.csv", 0.01)
     proc = _run_capped("calibrate-rates", "--curve", str(curve))
     assert proc.returncode == 3
-    assert re.fullmatch(_BOUND_WARNING, proc.stderr)
+    assert proc.stderr == ""
+    assert re.search(_BOUND_NOTE, proc.stdout, re.M)
     assert re.search(r"^\s*converged\s+= false$", proc.stdout, re.M)
+
+
+def test_credit_fit_warnings_are_report_notes(market_dir, tmp_path, capsys):
+    # Four quotes for five parameters: the under-determined warning is a note
+    # of the report, in the text and the JSON, and nothing reaches stderr.
+    quotes = tmp_path / "quotes.csv"
+    lines = (market_dir / "quotes.csv").read_text().splitlines()
+    quotes.write_text("\n".join(lines[:5]) + "\n")  # the header comment and 4 quotes
+    out = tmp_path / "out"
+    run_cli("calibrate-cds", "--curve", str(market_dir / "curve.csv"), "--quotes", str(quotes),
+            "--config", str(market_dir / "config.txt"), "--out", str(out))
+    captured = capsys.readouterr()
+    note = "quotes < parameters (4 < 5); the fit is under-determined"
+    assert captured.err == ""
+    assert f"note: {note}\n" in captured.out
+    assert json.loads((out / "calibrate-cds.json").read_text())["notes"] == [note]
 
 
 def test_full_pipeline_on_a_dipped_curve_converges(market_dir, tmp_path):

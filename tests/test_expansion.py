@@ -461,7 +461,7 @@ def _grid(model, points, nodes=32):
 def _moments(model, points, nodes=32):
     T = np.atleast_1d(np.asarray(points, dtype=float))
     grid = _grid(model, T, nodes)
-    return grid, _ProxyMoments(model, grid, T)
+    return grid, _ProxyMoments(model, grid)
 
 
 def test_kernel_empty_interval_is_zero():

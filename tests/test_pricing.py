@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from scipy.integrate import quad
 from conftest import MARKET_STRIP_TENORS, SET_NAMES, make_model
 from ssrd.market import PricingConfig, build_schedule
 from ssrd.pricing import price_cds, spread_curve, spread_ladder, uncorrelated_spread
+from ssrd.timeint import _MAX_GAPS, _grid_cache
 
 CFG = PricingConfig(roll="anniversary")
 
@@ -137,6 +139,48 @@ def test_ladder_refuses_a_runaway_rate_reversion_at_once():
             spread_ladder(model, union, ends, config)
         elapsed.append(time.perf_counter() - start)
     assert min(elapsed) < 0.01
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_ladder_on_a_cached_grid_equals_one_on_a_fresh_grid(order):
+    # Two models whose alpha1 + alpha2 cut the strip alike share one grid;
+    # each prices bit for bit as on a grid built for it alone.
+    config = PricingConfig(roll="anniversary", order=order, quad_nodes=8)
+    union = _schedule(max(MARKET_STRIP_TENORS), config)
+    ends = [len(_schedule(t, config).times) for t in MARKET_STRIP_TENORS]
+    models = make_model("mid2", rho=0.5), make_model("fast", rho=-0.3)
+    fresh = []
+    for model in models:
+        _grid_cache.clear()
+        fresh.append(spread_ladder(model, union, ends, config))
+    _grid_cache.clear()
+    spread_ladder(models[0], union, ends, config)
+    (grid,) = _grid_cache.values()
+    for model, alone in zip(models[::-1], fresh[::-1]):
+        np.testing.assert_array_equal(spread_ladder(model, union, ends, config), alone)
+    assert list(_grid_cache.values()) == [grid]
+
+
+def test_order_two_ladder_near_the_gap_limit_keeps_its_memory_bounded():
+    # alpha1 + alpha2 = 2729.2 cuts each semiannual period of the six-year
+    # strip into 1,365 gaps, 16,380 in all.  At 32 nodes, _within's
+    # (gaps, n, n) product alone took 128 MiB and the ladder peaked at 219
+    # MiB; summed a block of gaps at a time, the ladder peaks near 120 MiB.
+    config = PricingConfig(roll="anniversary", order=2, quad_nodes=32)
+    model = make_model("mid2", rho=0.5, alpha2=2729.0)
+    union = _schedule(max(MARKET_STRIP_TENORS), config)
+    ends = [len(_schedule(t, config).times) for t in MARKET_STRIP_TENORS]
+    _grid_cache.clear()
+    tracemalloc.start()
+    try:
+        ladder = spread_ladder(model, union, ends, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (grid,) = _grid_cache.values()
+    assert grid.nodes.shape == (16_380, 32) and 16_380 <= _MAX_GAPS
+    assert np.all(np.isfinite(ladder)) and np.all(ladder > 0.0)
+    assert peak < 160 * 2**20
 
 
 def test_ladder_rejects_out_of_range_prefixes():

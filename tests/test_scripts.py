@@ -1,7 +1,7 @@
-"""Smoke tests for the study scripts under ``scripts/``.
+"""Smoke tests for the scripts under ``scripts/``.
 
-Both scripts drive the expansion engine end to end; each ``main(argv)`` is
-called in-process with ``scripts/`` on the import path.
+Each ``main(argv)`` is called in-process with ``scripts/`` on the import
+path; ``report_diff`` runs its checkouts' commands in child processes.
 """
 
 from __future__ import annotations
@@ -44,3 +44,13 @@ def test_synthetic_market_refits_through_the_cli(monkeypatch, capsys, tmp_path):
     assert rc == 0
     params = json.loads((report / "full-pipeline.json").read_text())["params"]
     assert float(params["max_abs_error_bps"]) <= 0.5
+
+
+def test_report_diff_of_a_checkout_against_itself_moves_nothing(monkeypatch, capsys):
+    root = SCRIPTS.parent
+    assert _script(monkeypatch, "report_diff").main([str(root), str(root), "--small"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "no report moved"
+    reports = out[1:-1]
+    assert len(reports) == 8  # one per subcommand
+    assert all(" identical (" in line and ".json" in line for line in reports)

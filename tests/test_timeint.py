@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import ssrd.timeint
 from ssrd.timeint import (
     _MAX_GAPS,
     _GridLimitError,
     _RunningGrid,
+    _grid_cache,
+    _running_grid,
     exp_integral,
     exp_integral_da,
     exp_integral_da2,
@@ -178,6 +181,41 @@ def test_running_grid_refuses_more_gaps_than_its_limit():
         assert isinstance(exc.value, ValueError)
         assert str(exc.value) == (f"decay rate {rate:.6g} over [0, 1] needs {count} grid "
                                   f"gaps, more than the {_MAX_GAPS} allowed")
+
+
+def test_running_grid_is_built_once_per_points_nodes_and_cuts():
+    points = np.array([0.5, 1.0, 1.5, 6.0])  # gaps 0.5, 0.5, 0.5 and 4.5
+    _grid_cache.clear()
+    grid = _running_grid(points, 8, 0.3)  # cuts 1, 1, 1, 2
+    assert _running_grid(points.copy(), 8, 0.4) is grid  # the same cuts
+    assert _running_grid(points, 8, 0.5) is not grid  # 4.5 in 3 pieces
+    assert _running_grid(points, 16, 0.3) is not grid
+    assert len(_grid_cache) == 1
+    # a cached grid is the grid a fresh build gives, array by array
+    cached, fresh = _running_grid(points, 8, 0.3), _RunningGrid(points, 8, 0.3)
+    assert vars(cached).keys() == vars(fresh).keys()
+    for name, value in vars(fresh).items():
+        np.testing.assert_array_equal(getattr(cached, name), value, err_msg=name)
+        if isinstance(value, np.ndarray):
+            assert not getattr(cached, name).flags.writeable, name
+    with pytest.raises(ValueError, match="read-only"):
+        cached.nodes[0, 0] = 0.0
+
+
+def test_running_grid_refuses_before_any_lookup(monkeypatch):
+    points = np.array([0.5, 1.0, 1.5, 6.0])
+    _grid_cache.clear()
+    with pytest.raises(_GridLimitError):
+        _running_grid(points, 8, 1e6)
+    assert not _grid_cache  # nothing cached for a refused grid
+    grid = _running_grid(points, 8, 0.3)  # 5 gaps
+    with pytest.raises(_GridLimitError):
+        _running_grid(points, 8, 1e6)
+    assert list(_grid_cache.values()) == [grid]
+    # the limit is checked even where a grid of these cuts is cached
+    monkeypatch.setattr(ssrd.timeint, "_MAX_GAPS", 4)
+    with pytest.raises(_GridLimitError, match="needs 5 grid gaps, more than the 4 allowed"):
+        _running_grid(points, 8, 0.3)
 
 
 @pytest.mark.parametrize("a", [0.0, 0.7, 30.0])
