@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """How far every ``ssrd`` report moved between two checkouts.
 
-    python3 scripts/report_diff.py PARENT CHANGE [--small] [--perfbench SEEDS]
+    python3 scripts/report_diff.py PARENT CHANGE [--perfbench SEEDS]
 
 PARENT and CHANGE are the roots of two checkouts of this repository.  The
 PARENT checkout writes one fixed input set: the synthetic market of
@@ -10,8 +10,7 @@ credit set at rho in {-0.5, 0, 0.5}, and a fixed ``mc-check`` seed.  Each
 checkout then runs all eight subcommands on it, in one subprocess with that
 checkout's ``src/`` on ``PYTHONPATH``.  For every report this prints
 whether its bytes are identical once the timing block is dropped, and the
-largest absolute and relative numeric move with its cell.  ``--small``
-keeps one params file (``mid2`` at rho = 0.5) and fewer paths.
+largest absolute and relative numeric move with its cell.
 
 ``--perfbench SEEDS`` (``0`` or ``0-9``) also runs perfbench's ``price``
 scenarios and ``calibrate`` markets of those seeds through the public API:
@@ -51,7 +50,7 @@ REFIT_BP = 0.5
 # Children: each runs in one checkout, with its src/ on the import path.
 
 
-def _write_inputs(work: Path, small: bool, seeds: list[int]) -> None:
+def _write_inputs(work: Path, seeds: list[int]) -> None:
     """The fixed input set, written with the running checkout's code."""
     import run_synthetic_pipeline as synthetic
 
@@ -59,17 +58,16 @@ def _write_inputs(work: Path, small: bool, seeds: list[int]) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         synthetic.main(["--out", str(market)])
     rate = synthetic.RATE
-    sets = {"mid2": synthetic.CREDIT_SETS["mid2"]} if small else synthetic.CREDIT_SETS
     names = []
-    for name, credit in sets.items():
-        for rho in (0.5,) if small else RHOS:
+    for name, credit in synthetic.CREDIT_SETS.items():
+        for rho in RHOS:
             values = (rate.alpha, rate.beta, rate.sigma, rate.x0) + tuple(credit[:4]) + (rho,)
             keys = ("alpha1", "beta1", "sigma1", "r0", "alpha2", "beta2", "sigma2", "lambda0",
                     "rho")
             label = f"{name}_rho{rho:+g}"
             (work / f"{label}.txt").write_text("".join(f"{k}={v!r}\n" for k, v in zip(keys, values)))
             names.append(label)
-    manifest = {"params": names, "paths": 500 if small else 2000, "perfbench": {}}
+    manifest = {"params": names, "paths": 2000, "perfbench": {}}
     if seeds:
         import workloads
 
@@ -310,20 +308,20 @@ def _compare_perfbench(parent: Path, change: Path) -> bool:
     return identical
 
 
-def _child(checkout: Path, mode: str, work: Path, out: Path, small: bool, seeds: str) -> None:
+def _child(checkout: Path, mode: str, work: Path, out: Path, seeds: str) -> None:
     """Run one child mode in ``checkout``: its src/, scripts/ and perfbench/ importable."""
     env = dict(os.environ)
     paths = [checkout / "src", checkout / "scripts", checkout / "perfbench"]
     env["PYTHONPATH"] = os.pathsep.join(map(str, paths))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    argv = ["--child", mode, str(work), str(out), str(int(small)), seeds]
+    argv = ["--child", mode, str(work), str(out), seeds]
     subprocess.run([sys.executable, str(HERE), *argv], env=env, check=True)
 
 
-def _child_main(mode: str, work: str, out: str, small: str, seeds: str) -> int:
+def _child_main(mode: str, work: str, out: str, seeds: str) -> int:
     if mode == "inputs":
-        _write_inputs(Path(work), small == "1", _seeds(seeds))
+        _write_inputs(Path(work), _seeds(seeds))
     elif mode == "reports":
         _run_reports(Path(work), Path(out))
     else:
@@ -345,7 +343,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="root of the parent checkout")
     ap.add_argument("change", type=Path, help="root of the changed checkout")
-    ap.add_argument("--small", action="store_true", help="one params file and fewer paths")
     ap.add_argument("--perfbench", metavar="SEEDS",
                     help="also compare perfbench's price and calibrate inputs of these seeds")
     args = ap.parse_args(argv)
@@ -355,15 +352,15 @@ def main(argv=None) -> int:
         work = Path(tmp) / "inputs"
         work.mkdir()
         seeds = args.perfbench or ""
-        _child(parent, "inputs", work, work, args.small, seeds)
+        _child(parent, "inputs", work, work, seeds)
         manifest = json.loads((work / "manifest.json").read_text())
         outs = []
         for k, checkout in enumerate((parent, change)):
             out = Path(tmp) / f"side{k}"
             out.mkdir()
-            _child(checkout, "reports", work, out, args.small, seeds)
+            _child(checkout, "reports", work, out, seeds)
             if seeds:
-                _child(checkout, "perfbench", work, out, args.small, seeds)
+                _child(checkout, "perfbench", work, out, seeds)
             outs.append(out)
         names = [name for name, _ in _commands(work, manifest)]
         print(f"reports: {parent} -> {change}")

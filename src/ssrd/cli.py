@@ -117,10 +117,17 @@ def _timing(seconds: float) -> str:
 
 def _recorded(run):
     """``run()`` with every warning it raises recorded instead of printed: its
-    result and the warnings' messages, each once, for the report's notes."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = run()
+    result and the warnings' messages, each once, for the report's notes.  A
+    ``run()`` that raises leaves no report, so its messages go to stderr as
+    notes before the exception goes on."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run()
+    except Exception:
+        for note in dict.fromkeys(str(w.message) for w in caught):
+            print(f"note: {note}", file=sys.stderr)
+        raise
     return result, tuple(dict.fromkeys(str(w.message) for w in caught))
 
 

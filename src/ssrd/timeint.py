@@ -257,14 +257,11 @@ class _RunningGrid:
         # many rows there are, and summed a block of gaps at a time, so the
         # (gaps, n, n) product never exceeds _WITHIN_BLOCK elements
         per_gap = math.prod(f.shape[:-2]) * f.shape[-1] * self.matrix.shape[0]
-        rows = max(1, _WITHIN_BLOCK // max(per_gap, 1))
-        if rows >= f.shape[-2]:
-            inside = (f[..., None, :] * self.matrix).sum(axis=-1)
-        else:
-            inside = np.empty(f.shape)
-            for lo in range(0, f.shape[-2], rows):
-                block = f[..., lo:lo + rows, None, :] * self.matrix
-                inside[..., lo:lo + rows, :] = block.sum(axis=-1)
+        rows = max(1, min(f.shape[-2], _WITHIN_BLOCK // max(per_gap, 1)))
+        inside = np.empty(f.shape)
+        for lo in range(0, f.shape[-2], rows):
+            block = f[..., lo:lo + rows, None, :] * self.matrix
+            block.sum(axis=-1, out=inside[..., lo:lo + rows, :])
         return self.half * inside
 
     def at_nodes(self, f):

@@ -591,6 +591,26 @@ def test_credit_fit_warnings_are_report_notes(market_dir, tmp_path, capsys):
     assert json.loads((out / "calibrate-cds.json").read_text())["notes"] == [note]
 
 
+def test_warnings_of_a_fit_that_cannot_start_reach_stderr(market_dir, tmp_path, capsys):
+    # The humped curve ends the rate fit on alpha1 = 50 and four quotes leave
+    # the credit fit under-determined; the start point's grid, alpha1 + alpha2
+    # = 50.5 over 400 years, is refused.  No report is left to carry the two
+    # warnings, so they reach stderr as notes ahead of the error, each once.
+    curve = _bent_curve(tmp_path / "humped.csv", 0.01)
+    quotes = tmp_path / "quotes.csv"
+    quotes.write_text("1,99,101\n2,109,111\n5,119,121\n400,129,131\n")
+    code = run_cli("calibrate-cds", "--curve", str(curve), "--quotes", str(quotes),
+                   "--config", str(market_dir / "config.txt"))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 3
+    assert re.match(_BOUND_NOTE, lines[0])
+    assert lines[1] == "note: quotes < parameters (4 < 5); the fit is under-determined"
+    assert lines[2].startswith("error: credit fit cannot start: the pricing grid refuses")
+
+
 def test_full_pipeline_on_a_dipped_curve_converges(market_dir, tmp_path):
     # The mirror image of the hump is fitted with alpha1 near 5.7e-7, far
     # below the bound.

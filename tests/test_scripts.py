@@ -48,9 +48,9 @@ def test_synthetic_market_refits_through_the_cli(monkeypatch, capsys, tmp_path):
 
 def test_report_diff_of_a_checkout_against_itself_moves_nothing(monkeypatch, capsys):
     root = SCRIPTS.parent
-    assert _script(monkeypatch, "report_diff").main([str(root), str(root), "--small"]) == 0
+    assert _script(monkeypatch, "report_diff").main([str(root), str(root)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == "no report moved"
     reports = out[1:-1]
-    assert len(reports) == 8  # one per subcommand
+    assert len(reports) == 41  # 8 subcommands; price, survival and mc-check on 12 params files
     assert all(" identical (" in line and ".json" in line for line in reports)
