@@ -57,6 +57,10 @@ _PARAM_KEYS = (
 # Euler steps mc-check simulates on its longest tenor at most
 _MAX_MC_STEPS = 1_000_000
 
+# Paths mc-check simulates at most, 500 times the default: the simulation
+# seeds every block of paths before its first step, 3,052 blocks here
+_MAX_MC_PATHS = 100_000_000
+
 
 class _InputError(Exception):
     """Anything that should end the process with exit status 2."""
@@ -320,6 +324,8 @@ def _cmd_mc_check(args) -> tuple[CalibrationReport, int]:
     if args.paths < 3:
         # one antithetic pair has no sample variance: every |z| would read 0
         raise _InputError(f"--paths must be at least 3 (two antithetic pairs), got {args.paths}")
+    if args.paths > _MAX_MC_PATHS:
+        raise _InputError(f"--paths must be at most {_MAX_MC_PATHS}, got {args.paths}")
     steps = max(tenors) / args.step
     if not steps <= _MAX_MC_STEPS:
         raise _InputError(f"--step {args.step:g} over tenor {max(tenors):g} needs "

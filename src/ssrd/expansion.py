@@ -41,7 +41,9 @@ Taylor series where those cancel.
 v0, the mean paths and the variances are all built from each leg's closed
 forms psi(-a, 0, t), e^{-a t} and theta(-a, a, 0, t).  These are evaluated
 once per call, for both legs on the grid nodes and the maturities together,
-and theta is read off psi; every term above reuses the same arrays.
+and theta is read off psi.  v0 and the mean intensity are read at every node
+and maturity; c11, c22 and the mean paths under c12 only at the nodes, where
+the running integrals take them.
 
 These match the exact transforms through O(sigma^2) and O(rho sigma^2)
 inclusive: the zero-correlation limit reproduces the per-leg bond convexity
@@ -167,51 +169,30 @@ def _psi_theta(a, t):
     return w, np.where(small, series, (t - w) / a)
 
 
-class _ProxyMoments:
-    """Both legs' closed forms on a running grid and at the maturities, and
-    the mean paths and proxy (co)variances of (r, lam) built on them.
+def _covariances(params: ModelParams, grid: _RunningGrid, w, decay):
+    """The proxy (co)variances c11, c22 and c12 of (r, lam) at the grid's nodes.
 
-    psi(-a, 0, t), e^{-a t} and theta(-a, a, 0, t) are evaluated once, one
-    array op each for both legs and all times: row 0 is the rate, row 1 the
-    intensity; the columns are the grid's ``times``: its nodes, flattened,
-    then its points, the maturities.  The variances are the exact per-leg
-    ones; the covariance c12 freezes sqrt(rbar lbar) along the mean path and
-    is the only one that needs the grid.
+    ``w`` and ``decay`` are both legs' psi(-a, 0, t) and e^{-a t} over
+    ``grid.times`` (row 0 the rate, row 1 the intensity); only their node
+    columns are read.  c11 and c22 are the exact per-leg variances from the
+    time-zero state, every factor decaying in t.  c12 freezes sqrt(rbar lbar)
+    along the mean paths started from the floored state:
+    rho_hat * int_0^u e^{-(a1+a2)(u-v)} sqrt(rbar lbar)(v) dv.
     """
-
-    def __init__(self, params: ModelParams, grid: _RunningGrid):
-        p = params
-        self.p, self.grid = p, grid
-        self.alpha = np.array([[p.alpha1], [p.alpha2]])
-        self.beta = np.array([[p.beta1], [p.beta2]])
-        self.x0 = np.array([[p.r0], [p.lambda0]])
-        self.psi, self.theta = _psi_theta(self.alpha, grid.times)
-        self.decay = np.exp(-self.alpha * grid.times)
-
-    def node_part(self, f):
-        """The node columns of f, in the grid's shape."""
-        nodes = self.grid.nodes
-        return f[..., :nodes.size].reshape(f.shape[:-1] + nodes.shape)
-
-    def mean(self, x0):
-        """E[X_t] of each leg started at x0 (a column, one row per leg)."""
-        return x0 * self.decay + self.alpha * self.beta * self.psi
-
-    def variance(self):
-        """Var[X_t] of each leg from the time-zero state: c11 and c22.
-        Every factor decays in t."""
-        p, w = self.p, self.psi
-        sigma = np.array([[p.sigma1_active], [p.sigma2]])
-        return sigma * sigma * w * (self.x0 * self.decay + 0.5 * self.alpha * self.beta * w)
-
-    def c12(self):
-        """Proxy covariance rho_hat * int_0^u e^{-(a1+a2)(u-v)} sqrt(rbar lbar)(v) dv
-        at every grid node u, the mean paths started from the floored state."""
-        p = self.p
-        if p.rho_hat == 0.0:
-            return np.zeros(self.grid.nodes.shape)
-        rbar, lbar = self.node_part(self.mean(np.maximum(self.x0, ANCHOR_FLOOR)))
-        return p.rho_hat * self.grid.decayed(np.sqrt(rbar * lbar), p.alpha1 + p.alpha2)[0]
+    p, s = params, grid.nodes
+    w, decay = w[:, :s.size], decay[:, :s.size]
+    # c12 first, so that c11 and c22 are not yet held during its decayed pass
+    if p.rho_hat == 0.0:
+        c12 = np.zeros(s.shape)
+    else:
+        rbar = max(p.r0, ANCHOR_FLOOR) * decay[0] + p.alpha1 * p.beta1 * w[0]
+        lbar = max(p.lambda0, ANCHOR_FLOOR) * decay[1] + p.alpha2 * p.beta2 * w[1]
+        root = np.sqrt((rbar * lbar).reshape(s.shape))
+        c12 = p.rho_hat * grid.decayed(root, p.alpha1 + p.alpha2)[0]
+    s1, s2 = p.sigma1_active, p.sigma2
+    c11 = s1 * s1 * w[0] * (p.r0 * decay[0] + 0.5 * p.alpha1 * p.beta1 * w[0])
+    c22 = s2 * s2 * w[1] * (p.lambda0 * decay[1] + 0.5 * p.alpha2 * p.beta2 * w[1])
+    return c11.reshape(s.shape), c22.reshape(s.shape), c12
 
 
 def _warn_anchor(params: ModelParams, order: int) -> None:
@@ -238,7 +219,6 @@ class ExpansionTerms:
     the order-N approximations.
     """
 
-    maturities: np.ndarray
     v_terms: np.ndarray
     h_terms: np.ndarray
 
@@ -259,10 +239,12 @@ def _expand(params: ModelParams, T: np.ndarray, order: int, n_nodes: int):
     """The expansion on one running grid over [0, sorted T].
 
     Returns the grid and the terms at its nodes and at T, as ExpansionTerms.
-    Each leg's closed forms are evaluated once, by ``_ProxyMoments``, and
-    v0, the mean intensity, the floored mean paths under c12 and the
-    variances c11 and c22 all read them.  The kernels D1 and D2 of the
-    module docstring are carried from gap to gap by
+    Each leg's closed forms psi(-a, 0, t), theta(-a, a, 0, t) and e^{-a t}
+    are evaluated once over ``grid.times``, one array op each for both legs.
+    v0 and the mean intensity read every column; the variances c11 and c22
+    and the floored mean paths under c12 read the node columns only, and c12
+    is built only under correlation (``_covariances``).  The kernels D1 and
+    D2 of the module docstring are carried from gap to gap by
     ``_RunningGrid.decayed``; i_h1 = -D2 and i_v2 = int_0^T (D1 + D2), half
     the variance of the accumulated discount under the proxy, each
     covariance increment weighted by its remaining exposure window.  No term
@@ -274,16 +256,16 @@ def _expand(params: ModelParams, T: np.ndarray, order: int, n_nodes: int):
     # every trial point that cuts them alike shares one grid.
     grid = _running_grid(T, n_nodes, p.alpha1 + p.alpha2)
     s = grid.nodes
-    mom = _ProxyMoments(p, grid)
-    w, th = mom.psi, mom.theta
+    alpha = np.array([[p.alpha1], [p.alpha2]])
+    w, th = _psi_theta(alpha, grid.times)
+    decay = np.exp(-alpha * grid.times)
     v0 = np.exp(-p.r0 * w[0] - p.alpha1 * p.beta1 * th[0]
                 - p.lambda0 * w[1] - p.alpha2 * p.beta2 * th[1])
-    mean_lam = mom.mean(mom.x0)[1]
+    mean_lam = p.lambda0 * decay[1] + p.alpha2 * p.beta2 * w[1]
     v_list = [v0]
     h_list = [v0 * mean_lam]
     if order >= 1:
-        c11, c22 = mom.node_part(mom.variance())
-        c12 = mom.c12()
+        c11, c22, c12 = _covariances(p, grid, w, decay)
         d2, d2_at_T = grid.decayed(c12 + c22, p.alpha2)
         # The payoff-1 transform has no first-order term: the correction
         # operator is linear in the centered state, whose proxy mean is zero
@@ -291,6 +273,7 @@ def _expand(params: ModelParams, T: np.ndarray, order: int, n_nodes: int):
         # discount/terminal covariance behind.
         v_list.append(np.zeros_like(v0))
         h_list.append(-np.concatenate((d2.ravel(), d2_at_T.ravel())) * v0)
+    del w, th, decay  # read no further; a long grid's peak is lower without them
     if order >= 2:
         d = grid.decayed(c11 + c12, p.alpha1)[0] + d2
         v2 = np.concatenate((grid.at_nodes(d).ravel(), grid.at_points(d).ravel())) * v0
@@ -298,11 +281,11 @@ def _expand(params: ModelParams, T: np.ndarray, order: int, n_nodes: int):
         h_list.append(mean_lam * v2)
     v, h = np.stack(v_list), np.stack(h_list)
 
-    def part(cols, points):
-        shape = (order + 1,) + points.shape
-        return ExpansionTerms(points, v[:, cols].reshape(shape), h[:, cols].reshape(shape))
+    def part(cols, shape):
+        shape = (order + 1,) + shape
+        return ExpansionTerms(v[:, cols].reshape(shape), h[:, cols].reshape(shape))
 
-    return grid, part(slice(0, s.size), s), part(slice(s.size, None), T)
+    return grid, part(slice(0, s.size), s.shape), part(slice(s.size, None), T.shape)
 
 
 def _maturities(maturities) -> np.ndarray:

@@ -93,8 +93,8 @@ class CalibrationReport:
         lines.extend(",".join(r) for r in self.rows)
         return "\n".join(lines) + "\n"
 
-    def json_obj(self) -> dict:
-        return {
+    def json(self) -> str:
+        obj = {
             "command": self.command,
             "rows": [dict(zip(self.headers, r)) for r in self.rows],
             "params": dict(self.params),
@@ -102,6 +102,4 @@ class CalibrationReport:
             "config": dict(self.config_echo),
             "notes": list(self.notes),
         }
-
-    def json(self) -> str:
-        return json.dumps(self.json_obj(), indent=2) + "\n"
+        return json.dumps(obj, indent=2) + "\n"

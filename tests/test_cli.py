@@ -319,6 +319,20 @@ def test_mc_check_rejects_fewer_than_two_antithetic_pairs(market_dir, capsys, pa
     assert "--paths must be at least 3" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("paths", ["100000001", str(10**12)])
+def test_mc_check_refuses_more_paths_than_it_can_seed(market_dir, capsys, monkeypatch, paths):
+    # 10^12 paths would spawn 3.05e7 block seeds before the first step
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("the simulation ran")
+
+    monkeypatch.setattr(ssrd.cli, "mc_estimate", no_simulation)
+    code = run_cli("mc-check", "--params", str(market_dir / "params.txt"),
+                   "--config", str(market_dir / "config.txt"),
+                   "--tenors", "1", "--paths", paths, "--step", "0.05")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --paths must be at most 100000000, got {paths}\n"
+
+
 @pytest.mark.parametrize(("step", "count"), [("1e-12", "1e+12"), ("1e-300", "1e+300"),
                                              ("5e-324", "inf"), ("4.99e-07", "2.00401e+06")])
 def test_mc_check_refuses_an_euler_grid_it_cannot_finish(market_dir, capsys, monkeypatch,

@@ -31,7 +31,7 @@ from ssrd.expansion import (
     ANCHOR_FLOOR,
     ModelParams,
     _SERIES_SWITCH,
-    _ProxyMoments,
+    _covariances,
     _expand,
     _psi_theta,
     _scaled_coefficients,
@@ -175,6 +175,24 @@ def test_uncorrelated_transform_factorizes(set_name):
         # h is the plain terminal-intensity transform E[e^{-int (r+lam)} lam_T]
         oracle = p * (-cir_bond_dT(model.intensity_leg(), 0.0, T))
         np.testing.assert_allclose(h2, oracle, rtol=1e-3)
+
+
+@pytest.mark.parametrize("nodes", [8, 32])
+@pytest.mark.parametrize("overrides", [{}, {"alpha2": 8.0}, {"alpha2": 1e-9}, {"sigma1_hat": 0.031}],
+                         ids=["set", "alpha2=8", "alpha2=1e-9", "sigma1_hat"])
+def test_uncorrelated_variance_term_equals_the_one_leg_closed_forms(set_name, overrides, nodes):
+    # At rho = 0 the order-2 term is v0 times half the variance of
+    # int (r + lam), which splits into the legs' sigma^2 coefficients: the
+    # running integrals of c11 and c22 (D1, D2, then v2) must reproduce
+    # proxy_bond_expansion's closed forms, whatever the grid's cuts.
+    model = make_model(set_name, rho=0.0, **overrides)
+    terms = expansion_terms(model, MATURITIES, order=2, quad_nodes=nodes)
+    lin_rate = proxy_bond_expansion(model.alpha1, model.beta1, model.r0, MATURITIES)[1]
+    lin_int = proxy_bond_expansion(model.alpha2, model.beta2, model.lambda0, MATURITIES)[1]
+    half_var = model.sigma1_active ** 2 * lin_rate + model.sigma2 ** 2 * lin_int
+    v0, h0 = terms.v_terms[0], terms.h_terms[0]
+    np.testing.assert_allclose(terms.v_terms[2], v0 * half_var, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(terms.h_terms[2], h0 / v0 * (v0 * half_var), rtol=1e-14, atol=0.0)
 
 
 def test_second_order_tightens_the_uncorrelated_fit(set_name):
@@ -459,16 +477,23 @@ def _grid(model, points, nodes=32):
 
 
 def _moments(model, points, nodes=32):
+    """A grid over [0, points], both legs' mean paths at its nodes (row 0 the
+    rate, row 1 the intensity) and the engine's c11, c22 and c12 there."""
     T = np.atleast_1d(np.asarray(points, dtype=float))
     grid = _grid(model, T, nodes)
-    return grid, _ProxyMoments(model, grid)
+    alpha = np.array([[model.alpha1], [model.alpha2]])
+    w = _psi_theta(alpha, grid.times)[0]
+    decay = np.exp(-alpha * grid.times)
+    x0 = np.array([[model.r0], [model.lambda0]])
+    mean = x0 * decay + alpha * np.array([[model.beta1], [model.beta2]]) * w
+    means = mean[:, :grid.nodes.size].reshape((2,) + grid.nodes.shape)
+    return grid, means, _covariances(model, grid, w, decay)
 
 
 def test_kernel_empty_interval_is_zero():
     model = make_model("mid2")
-    assert _moments(model, 0.0)[1].c12().size == 0  # no gap, no node
-    grid, mom = _moments(model, [0.0, 1.0])
-    rbar, lbar = mom.node_part(mom.mean(mom.x0))
+    assert _moments(model, 0.0)[2][2].size == 0  # no gap, no node
+    grid, (rbar, lbar), _ = _moments(model, [0.0, 1.0])
     g = np.sqrt(rbar * lbar)
     assert grid.at_points(g)[0] == 0.0
     assert grid.decayed(g, model.alpha1 + model.alpha2)[1][0] == 0.0
@@ -488,8 +513,7 @@ def test_kernel_mean_path_weight_matches_adaptive_quadrature():
 
     oracle, _ = quad(lambda u: np.exp(-rate * (3.0 - u)) * rbar(u) * np.sqrt(lbar(u)), 0.0, 3.0,
                      epsabs=1e-15, epsrel=1e-13)
-    grid, mom = _moments(model, 3.0)
-    rbar, lbar = mom.node_part(mom.mean(mom.x0))
+    grid, (rbar, lbar), _ = _moments(model, 3.0)
     got = grid.decayed(rbar * lbar ** 0.5, rate)[1]
     assert got == pytest.approx(oracle, rel=1e-10)
 
@@ -508,15 +532,15 @@ def test_kernel_cross_covariance_family_matches_dense_trapezoid():
     root = np.sqrt(rbar * lbar)
     c12 = model.rho_hat * cumulative_trapezoid(growth * root, u, initial=0.0) / growth
     oracle = np.trapezoid(np.exp(-model.alpha2 * (1.0 - u)) * c12, u)
-    grid, mom = _moments(model, 1.0)
-    got = grid.decayed(mom.c12(), model.alpha2)[1]
+    grid, _, (_, _, c12) = _moments(model, 1.0)
+    got = grid.decayed(c12, model.alpha2)[1]
     assert got == pytest.approx(oracle, rel=1e-8)
 
 
 def test_kernel_cross_family_vanishes_without_correlation():
     model = make_model("mid2", rho=0.0)
-    grid, mom = _moments(model, np.linspace(0.0, 2.0, 9))
-    assert np.array_equal(mom.c12(), np.zeros_like(grid.nodes))
+    grid, _, (_, _, c12) = _moments(model, np.linspace(0.0, 2.0, 9))
+    assert np.array_equal(c12, np.zeros_like(grid.nodes))
 
 
 # --------------------------------------------------------------------------
@@ -529,19 +553,19 @@ def test_proxy_covariance_psd_at_correlation_bounds():
     # c12^2 <= c11 c22 pointwise (Cauchy-Schwarz along the mean path).
     for rho in (-1.0, 1.0):
         model = make_model("mid2", rho=rho)
-        _, mom = _moments(model, np.linspace(0.05, 5.0, 40), nodes=64)
-        (c11, c22), c12 = mom.node_part(mom.variance()), mom.c12()
+        _, _, (c11, c22, c12) = _moments(model, np.linspace(0.05, 5.0, 40), nodes=64)
         assert np.all(c11 > 0) and np.all(c22 > 0)
         assert np.all(c12**2 <= c11 * c22 * (1.0 + 1e-10))
 
 
 def test_proxy_variances_match_small_time_growth():
-    # Leading order c11(s) ~ sigma^2 x0 s for small s.
+    # Leading order c11(s) ~ sigma^2 x0 s for small s, at the last node of a
+    # grid over [0, 1e-4].
     model = make_model("mid1")
-    s = 1e-4
-    c11, c22 = _moments(model, s)[1].variance()[:, -1]
-    assert c11 == pytest.approx(model.sigma1**2 * model.r0 * s, rel=1e-3)
-    assert c22 == pytest.approx(model.sigma2**2 * model.lambda0 * s, rel=1e-3)
+    grid, _, (c11, c22, _) = _moments(model, 1e-4)
+    s = grid.nodes[-1, -1]
+    assert c11[-1, -1] == pytest.approx(model.sigma1**2 * model.r0 * s, rel=1e-3)
+    assert c22[-1, -1] == pytest.approx(model.sigma2**2 * model.lambda0 * s, rel=1e-3)
 
 
 # --------------------------------------------------------------------------
