@@ -18,8 +18,9 @@ scenarios and ``calibrate`` markets of those seeds through the public API:
 for each market.  The inputs come from the PARENT checkout's perfbench
 generators, imported, not edited.  For each seed it prints the largest move
 of any spread, survival value, fitted parameter and repriced spread, the
-credit fits' total ``n_eval`` and the markets that miss 0.5 bp or do not
-converge, on both sides.
+credit fits' total ``n_eval``, the rate fits' total ``n_eval`` and
+``iterations``, and the markets that miss 0.5 bp or do not converge, on
+both sides.
 
 Exit status: 0 when nothing moved, 1 when anything did.
 """
@@ -129,13 +130,15 @@ def _pipeline_record(d: Path) -> dict:
     try:
         res = ssrd.run_pipeline(curve, quotes, config)
     except ValueError as exc:  # a calibration or grid refusal
-        return {"error": str(exc), "credit_n_eval": 0, "failed": True}
+        return {"error": str(exc), "rates_n_eval": 0, "rates_iterations": 0, "credit_n_eval": 0,
+                "failed": True}
     spreads = [s for _, s in res.repriced]
     # as perfbench's check reads the report: both sides rounded to 3 decimals
     err = max(abs(float(f"{1e4 * s:.3f}") - float(f"{m:.3f}"))
               for s, m in zip(spreads, quotes.mid_bps))
     return {
         "rates": [float(v) for v in res.rates.x], "rates_n_eval": res.rates.n_eval,
+        "rates_iterations": res.rates.iterations,
         "sigma1_hat": res.vol.sigma1_hat,
         "credit": [float(v) for v in res.credit.x], "credit_n_eval": res.credit.n_eval,
         "credit_iterations": res.credit.iterations, "objective": res.credit.objective,
@@ -297,10 +300,13 @@ def _compare_perfbench(parent: Path, change: Path) -> bool:
                 moves.add_cells(f"{workload}[{i}]", x, y)
             line = f"seed {seed} {workload}: {len(a[workload])} items, {moved} moved"
             if workload == "calibrate":
-                n_eval = [sum(m["credit_n_eval"] for m in side[workload]) for side in (a, b)]
-                failed = [sum(m["failed"] for m in side[workload]) for side in (a, b)]
-                line += (f"; credit n_eval {n_eval[0]} -> {n_eval[1]}, "
-                         f"failed {failed[0]} -> {failed[1]}")
+                totals = []
+                for key, label in (("credit_n_eval", "credit n_eval"),
+                                   ("rates_n_eval", "rate n_eval"),
+                                   ("rates_iterations", "rate iterations"), ("failed", "failed")):
+                    total = [sum(m[key] for m in side[workload]) for side in (a, b)]
+                    totals.append(f"{label} {total[0]} -> {total[1]}")
+                line += "; " + ", ".join(totals)
             if moved:
                 identical = False
                 line += f"; {moves.line()}"

@@ -150,54 +150,62 @@ def _sum_sq(r: np.ndarray) -> float:
     return float(counted @ counted)
 
 
-def _levenberg_marquardt(residuals, x0: np.ndarray, transform: Transform) -> CalibrationResult:
-    """Minimize the sum of squares of ``residuals(x)`` from ``x0`` by damped Gauss-Newton.
+def _levenberg_marquardt(x0: np.ndarray, transform: Transform):
+    """Minimize a sum of squares of residuals from ``x0`` by damped Gauss-Newton.
 
-    The last residual is a one-sided penalty: only its positive part enters
-    the sum.  Works in the unconstrained coordinates z of ``transform``.
-    Each iteration solves (J'J + mu I) d = -J'r with a forward-difference
-    Jacobian in z; mu follows Nielsen's update (Madsen, Nielsen & Tingleff
-    2004).  Levenberg's mu I is used rather than Marquardt's diag(J'J),
-    whose scaling lets a weakly identified volatility collapse to zero.
-    The penalty row joins the system where it is active or where the step
+    A generator: it yields lists of points, in the unconstrained
+    coordinates z of ``transform``, and is sent back each point's
+    residuals, or None where they cannot be had (see ``_lock_step``); it
+    returns a ``CalibrationResult``.  The last residual is a one-sided
+    penalty: only its positive part enters the sum.  Each iteration solves
+    (J'J + mu I) d = -J'r with a forward-difference Jacobian in z; mu
+    follows Nielsen's update (Madsen, Nielsen & Tingleff 2004).
+    Levenberg's mu I is used rather than Marquardt's diag(J'J), whose
+    scaling lets a weakly identified volatility collapse to zero.  The
+    penalty row joins the system where it is active or where the step
     without it would activate it, so the model of max(0, c) is max(0, c +
     J d) -- its one-sided slope alone makes the search crawl along the
-    penalty's edge.  A trial point whose residuals overflow or are not
-    finite is rejected like any step that fails to reduce the sum; a
-    difference point past the edge of the finite region is replaced by a
-    backward one, and an error is raised if that is not finite either.
+    penalty's edge.  A trial point without residuals is rejected like any
+    step that fails to reduce the sum; a difference point without them is
+    replaced by a backward one, and an error is raised if that has none
+    either.
 
     Convergence is declared on a zero gradient, on a step no larger than
     1e-10 relative to z, or when the actual and the predicted relative
     reductions are both at most 1e-10 (More 1978).  Exhausting the
     4,000-iteration budget returns the current point with
-    ``converged=False``; non-finite residuals at ``x0`` are an error.
+    ``converged=False``; no residuals at ``x0`` is an error.
     """
     n_eval = 0
 
-    def resid(z: np.ndarray) -> np.ndarray | None:
+    def jacobian(z: np.ndarray, r: np.ndarray):
+        # every forward point in one request, then the backward ones needed
         nonlocal n_eval
-        n_eval += 1
-        try:
-            r = np.asarray(residuals(transform.constrain(z)), dtype=float)
-        except (OverflowError, ValueError):  # exp overflow, or a parameter out of its domain
-            return None
-        return r if np.isfinite(r).all() else None
-
-    def jacobian(z: np.ndarray, r: np.ndarray) -> np.ndarray:
-        jac = np.empty((r.size, z.size))
-        for j in range(z.size):
-            h = _LM_FD_STEP * max(abs(z[j]), 1.0)
+        steps = [_LM_FD_STEP * max(abs(zj), 1.0) for zj in z.tolist()]
+        points = []
+        for j, h in enumerate(steps):
             zj = z.copy()
             zj[j] += h
-            rj = resid(zj)
-            if rj is None:  # past the edge of the finite region: step back
-                h = -h
-                zj[j] = z[j] + h
-                rj = resid(zj)
+            points.append(zj)
+        rows = yield points
+        n_eval += len(points)
+        back = [j for j, rj in enumerate(rows) if rj is None]
+        if back:  # past the edge of the finite region: step back
+            points = []
+            for j in back:
+                steps[j] = -steps[j]
+                zj = z.copy()
+                zj[j] = z[j] + steps[j]
+                points.append(zj)
+            got = yield points
+            n_eval += len(points)
+            for j, rj in zip(back, got):
                 if rj is None:
                     raise ValueError("residuals are not finite on either side of a "
                                      "difference step")
+                rows[j] = rj
+        jac = np.empty((r.size, z.size))
+        for j, (h, rj) in enumerate(zip(steps, rows)):
             jac[:, j] = (rj - r) / h
         return jac
 
@@ -209,11 +217,12 @@ def _levenberg_marquardt(residuals, x0: np.ndarray, transform: Transform) -> Cal
         return np.linalg.solve(normal, -(jac.T @ r))
 
     z = transform.unconstrain(np.asarray(x0, dtype=float))
-    r = resid(z)
+    (r,) = yield [z]
+    n_eval += 1
     if r is None:
         raise ValueError("residuals are not finite at the initial point")
     ssr = _sum_sq(r)
-    jac = jacobian(z, r)
+    jac = yield from jacobian(z, r)
     rows = jac if r[-1] > 0.0 else jac[:-1]
     mu = _LM_TAU * float((rows * rows).sum(axis=0).max())
     nu = 2.0
@@ -228,7 +237,8 @@ def _levenberg_marquardt(residuals, x0: np.ndarray, transform: Transform) -> Cal
         if np.linalg.norm(step) <= _LM_TOL * (np.linalg.norm(z) + _LM_TOL):
             converged = True
             break
-        r_new = resid(z + step)
+        (r_new,) = yield [z + step]
+        n_eval += 1
         if r_new is None:
             mu *= nu
             nu *= 2.0
@@ -240,7 +250,7 @@ def _levenberg_marquardt(residuals, x0: np.ndarray, transform: Transform) -> Cal
         if ssr_new < ssr and predicted > 0.0:
             gain = (ssr - ssr_new) / predicted
             z, r, ssr = z + step, r_new, ssr_new
-            jac = jacobian(z, r)
+            jac = yield from jacobian(z, r)
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             nu = 2.0
             converged = converged or not (jac.T @ _one_sided(r)).any()
@@ -257,6 +267,78 @@ def _levenberg_marquardt(residuals, x0: np.ndarray, transform: Transform) -> Cal
     )
 
 
+def _answers(residuals, zs: list[np.ndarray], transform: Transform) -> list:
+    """Each point's residuals from one ``residuals`` call, None where they
+    cannot be had: its transform overflows, it lies outside the residuals'
+    domain, or they are not finite."""
+    points = {}
+    for k, z in enumerate(zs):
+        try:
+            points[k] = transform.constrain(z)
+        except OverflowError:
+            pass
+    rows = dict(zip(points, residuals(list(points.values()))))
+    return [None if r is None or not np.isfinite(r).all() else r
+            for r in map(rows.get, range(len(zs)))]
+
+
+def _lock_step(residuals, starts, transform: Transform) -> list:
+    """``_levenberg_marquardt`` from every start at once.
+
+    In each round every running start asks for the residuals of its next
+    points, and one ``residuals`` call takes all of them: a list of points
+    in the constrained coordinates, answered by one row each, or None for a
+    point outside the residuals' domain.  A point that overflows its
+    transform, or whose row is not finite, gets None.  Each start sees the
+    same answers, in the same order, as it would alone.  Returns each
+    start's ``CalibrationResult``, or the ``ValueError`` that ended it.
+    """
+    fits = {i: _levenberg_marquardt(x0, transform) for i, x0 in enumerate(starts)}
+    outcomes: list = [None] * len(fits)
+    replies = dict.fromkeys(fits)  # None starts a generator
+    while fits:
+        asks = {}
+        for i, fit in list(fits.items()):
+            try:
+                asks[i] = fit.send(replies[i])
+                continue
+            except StopIteration as done:
+                outcomes[i] = done.value
+            except ValueError as exc:
+                outcomes[i] = exc
+            del fits[i]
+        answers = iter(_answers(residuals, [z for zs in asks.values() for z in zs], transform))
+        replies = {i: [next(answers) for _ in zs] for i, zs in asks.items()}
+    return outcomes
+
+
+def _rate_residuals(tenors: np.ndarray, dfs: np.ndarray, r0: float):
+    """The rate fit's residuals of a list of points (alpha1, beta1, sigma1):
+    ``cir_bond - dfs`` and the penalty 1e3 (sigma^2 - 2 alpha beta), one row
+    per point, from one bond call for every point in the domain.  A point
+    with alpha1 above ``_ALPHA_MAX``, or that is no valid leg, gets None."""
+
+    def residuals(points: list[np.ndarray]) -> list[np.ndarray | None]:
+        legs = {}
+        for k, (alpha, beta, sigma) in enumerate(points):
+            if alpha > _ALPHA_MAX:
+                continue
+            try:
+                legs[k] = CirParams(alpha, beta, sigma, r0)
+            except ValueError:
+                continue
+        rows = [None] * len(points)
+        if legs:
+            out = np.empty((len(legs), tenors.size + 1))
+            out[:, :-1] = cir_bond(list(legs.values()), 0.0, tenors) - dfs
+            out[:, -1] = [-1e3 * feller_margin(*points[k]) for k in legs]
+            for k, row in zip(legs, out):
+                rows[k] = row
+        return rows
+
+    return residuals
+
+
 def calibrate_rates(curve: DiscountCurve) -> CalibrationResult:
     """Fit (alpha1, beta1, sigma1) to discount pillars, r0 held at the observed value.
 
@@ -264,9 +346,10 @@ def calibrate_rates(curve: DiscountCurve) -> CalibrationResult:
     at the long-end zero rate, on the unweighted discount-factor residuals;
     the Feller penalty enters as one more, one-sided residual 1e3 *
     (sigma^2 - 2 alpha beta), counted only when positive, so the sum of
-    squares is the penalized objective.  The
-    best start is returned, with ``n_eval`` and ``iterations`` summed over
-    all starts.  Fit quality -- not parameter identification -- is the
+    squares is the penalized objective.  The starts run in lock-step
+    (``_lock_step``): one bond call prices the points every start asks for
+    next, and each start ends exactly where it ends alone.  The best start
+    is returned, with ``n_eval`` and ``iterations`` summed over all starts.  Fit quality -- not parameter identification -- is the
     contract; long-tenor curves carry little independent information about
     alpha1 vs sigma1.
 
@@ -288,27 +371,16 @@ def calibrate_rates(curve: DiscountCurve) -> CalibrationResult:
             RuntimeWarning,
             stacklevel=2,
         )
-    r0 = curve.short_rate
-
-    def residuals(p: np.ndarray) -> np.ndarray:
-        alpha, beta, sigma = p
-        if alpha > _ALPHA_MAX:
-            raise ValueError(f"alpha1 = {alpha:g} is above the bound {_ALPHA_MAX:g}")
-        out = np.empty(tenors.size + 1)
-        out[:-1] = cir_bond(CirParams(alpha, beta, sigma, r0), 0.0, tenors) - dfs
-        out[-1] = -1e3 * feller_margin(alpha, beta, sigma)
-        return out
+    residuals = _rate_residuals(tenors, dfs, curve.short_rate)
 
     t_start = time.perf_counter()
     transform = Transform(("positive", "positive", "positive"))
     best: CalibrationResult | None = None
     failures: list[str] = []
     n_eval = iterations = 0
-    for s in _rate_starts(tenors, dfs):
-        try:
-            res = _levenberg_marquardt(residuals, s, transform)
-        except ValueError as exc:
-            failures.append(str(exc))
+    for res in _lock_step(residuals, _rate_starts(tenors, dfs), transform):
+        if isinstance(res, ValueError):
+            failures.append(str(res))
             continue
         n_eval += res.n_eval
         iterations += res.iterations
@@ -325,7 +397,7 @@ def calibrate_rates(curve: DiscountCurve) -> CalibrationResult:
         )
         best = replace(best, converged=False)
 
-    errors = residuals(best.x)[:-1]
+    errors = residuals([best.x])[0][:-1]
     return replace(
         best,
         objective=float(np.sum(errors**2)),

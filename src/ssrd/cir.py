@@ -57,10 +57,21 @@ def feller_margin(alpha: float, beta: float, sigma: float) -> float:
     return 2.0 * alpha * beta - sigma * sigma
 
 
-def _affine_coefficients(params: CirParams, tau):
-    alpha, sigma = params.alpha, params.sigma
+def _leg_fields(params, ndim: int):
+    """alpha, beta, sigma and x0 of one leg, as floats, or of a sequence of
+    legs, as columns with a leading axis against maturities of ``ndim`` axes.
+    """
+    if isinstance(params, CirParams):
+        return params.alpha, params.beta, params.sigma, params.x0
+    fields = [(p.alpha, p.beta, p.sigma, p.x0) for p in params]
+    return np.array(fields).T.reshape((4, len(fields)) + (1,) * ndim)
+
+
+def _affine_coefficients(alpha, beta, sigma, tau):
+    # one formula for floats and for columns: every operation is elementwise,
+    # so each leg of a column gets the bits it gets alone
     sig2 = sigma * sigma
-    h = math.sqrt(alpha * alpha + 2.0 * sig2)
+    h = np.sqrt(alpha * alpha + 2.0 * sig2)
     u = -np.expm1(-h * tau)
     denom = 2.0 * h * np.exp(-h * tau) + (alpha + h) * u
     b = 2.0 * u / denom
@@ -77,20 +88,23 @@ def _affine_coefficients(params: CirParams, tau):
         if not small.all():
             direct = np.log1p(-np.where(small, 0.0, qu)) / np.where(small, 1.0, sig2)
             corr = np.where(small, corr, direct)
-    log_a = 2.0 * alpha * params.beta * (-tau / (alpha + h) - corr)
+    log_a = 2.0 * alpha * beta * (-tau / (alpha + h) - corr)
     return log_a, b, h, u, denom
 
 
-def cir_bond(params: CirParams, t: float, T):
+def cir_bond(params, t: float, T):
     """E[exp(-int_t^T X ds) | X_t = params.x0].
 
-    ``T`` may be a scalar or array of maturities >= t.
+    ``T`` may be a scalar or array of maturities >= t.  ``params`` may also
+    be a sequence of legs, priced in one call: the result then has a leading
+    axis, one row per leg, each row equal to that leg priced alone.
     """
     T = np.asarray(T, dtype=float)
     if (T < t).any():
         raise ValueError("maturity before evaluation time")
-    log_a, b, _, _, _ = _affine_coefficients(params, T - t)
-    out = np.exp(log_a - b * params.x0)
+    alpha, beta, sigma, x0 = _leg_fields(params, T.ndim)
+    log_a, b, _, _, _ = _affine_coefficients(alpha, beta, sigma, T - t)
+    out = np.exp(log_a - b * x0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -107,7 +121,7 @@ def cir_bond_dT(params: CirParams, t: float, T):
         raise ValueError("maturity before evaluation time")
     x = params.x0
     tau = T - t
-    log_a, b, h, u, denom = _affine_coefficients(params, tau)
+    log_a, b, h, u, denom = _affine_coefficients(params.alpha, params.beta, params.sigma, tau)
     b_dT = 4.0 * h * h * np.exp(-h * tau) / (denom * denom)
     out = -np.exp(log_a - b * x) * (params.alpha * params.beta * b + b_dT * x)
     return float(out) if out.ndim == 0 else out

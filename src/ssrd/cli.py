@@ -61,6 +61,10 @@ _MAX_MC_STEPS = 1_000_000
 # seeds every block of paths before its first step, 3,052 blocks here
 _MAX_MC_PATHS = 100_000_000
 
+# Paths times Euler steps mc-check simulates at most, 100 times the default
+# run (200,000 paths over 500 steps to 5y); the two bounds above let 10^14 through
+_MAX_MC_PATH_STEPS = 10 ** 10
+
 
 class _InputError(Exception):
     """Anything that should end the process with exit status 2."""
@@ -330,6 +334,10 @@ def _cmd_mc_check(args) -> tuple[CalibrationReport, int]:
     if not steps <= _MAX_MC_STEPS:
         raise _InputError(f"--step {args.step:g} over tenor {max(tenors):g} needs "
                           f"{steps:.6g} Euler steps, more than the {_MAX_MC_STEPS} allowed")
+    if not args.paths * steps <= _MAX_MC_PATH_STEPS:
+        raise _InputError(f"--paths {args.paths} over {steps:.6g} Euler steps needs "
+                          f"{args.paths * steps:.6g} path-steps, more than the "
+                          f"{_MAX_MC_PATH_STEPS:.0e} allowed")
     # one expansion call and one simulation call cover every tenor
     terms = expansion_terms(params, tenors, order=config.order, quad_nodes=config.quad_nodes)
     model_q = survival_approx(params.intensity_leg(), np.asarray(tenors), order=config.order)

@@ -169,7 +169,7 @@ def _psi_theta(a, t):
     return w, np.where(small, series, (t - w) / a)
 
 
-def _covariances(params: ModelParams, grid: _RunningGrid, w, decay):
+def _covariances(params: ModelParams, grid: _RunningGrid, w, decay, order: int):
     """The proxy (co)variances c11, c22 and c12 of (r, lam) at the grid's nodes.
 
     ``w`` and ``decay`` are both legs' psi(-a, 0, t) and e^{-a t} over
@@ -177,22 +177,24 @@ def _covariances(params: ModelParams, grid: _RunningGrid, w, decay):
     columns are read.  c11 and c22 are the exact per-leg variances from the
     time-zero state, every factor decaying in t.  c12 freezes sqrt(rbar lbar)
     along the mean paths started from the floored state:
-    rho_hat * int_0^u e^{-(a1+a2)(u-v)} sqrt(rbar lbar)(v) dv.
+    rho_hat * int_0^u e^{-(a1+a2)(u-v)} sqrt(rbar lbar)(v) dv.  What no term
+    of ``order`` reads is None: c11 below order 2, c12 without correlation.
     """
-    p, s = params, grid.nodes
-    w, decay = w[:, :s.size], decay[:, :s.size]
+    p, shape = params, (2,) + grid.nodes.shape
+    w = w[:, :grid.nodes.size].reshape(shape)
+    decay = decay[:, :grid.nodes.size].reshape(shape)
     # c12 first, so that c11 and c22 are not yet held during its decayed pass
-    if p.rho_hat == 0.0:
-        c12 = np.zeros(s.shape)
-    else:
+    c11 = c12 = None
+    if p.rho_hat != 0.0:
         rbar = max(p.r0, ANCHOR_FLOOR) * decay[0] + p.alpha1 * p.beta1 * w[0]
         lbar = max(p.lambda0, ANCHOR_FLOOR) * decay[1] + p.alpha2 * p.beta2 * w[1]
-        root = np.sqrt((rbar * lbar).reshape(s.shape))
-        c12 = p.rho_hat * grid.decayed(root, p.alpha1 + p.alpha2)[0]
-    s1, s2 = p.sigma1_active, p.sigma2
-    c11 = s1 * s1 * w[0] * (p.r0 * decay[0] + 0.5 * p.alpha1 * p.beta1 * w[0])
+        c12 = p.rho_hat * grid.decayed(np.sqrt(rbar * lbar), p.alpha1 + p.alpha2)[0]
+    if order >= 2:
+        s1 = p.sigma1_active
+        c11 = s1 * s1 * w[0] * (p.r0 * decay[0] + 0.5 * p.alpha1 * p.beta1 * w[0])
+    s2 = p.sigma2
     c22 = s2 * s2 * w[1] * (p.lambda0 * decay[1] + 0.5 * p.alpha2 * p.beta2 * w[1])
-    return c11.reshape(s.shape), c22.reshape(s.shape), c12
+    return c11, c22, c12
 
 
 def _warn_anchor(params: ModelParams, order: int) -> None:
@@ -238,54 +240,50 @@ class ExpansionTerms:
 def _expand(params: ModelParams, T: np.ndarray, order: int, n_nodes: int):
     """The expansion on one running grid over [0, sorted T].
 
-    Returns the grid and the terms at its nodes and at T, as ExpansionTerms.
+    Returns the grid and the terms over ``grid.times`` (every node,
+    flattened, then every point of T) as two lists of rows, one row per
+    order: v's orders 0 and 2, since its order-1 term is zero, and h's
+    orders 0 up to ``order``.  Summed from the left, the rows give the
+    order-``order`` approximations.
+
     Each leg's closed forms psi(-a, 0, t), theta(-a, a, 0, t) and e^{-a t}
     are evaluated once over ``grid.times``, one array op each for both legs.
     v0 and the mean intensity read every column; the variances c11 and c22
-    and the floored mean paths under c12 read the node columns only, and c12
-    is built only under correlation (``_covariances``).  The kernels D1 and
-    D2 of the module docstring are carried from gap to gap by
-    ``_RunningGrid.decayed``; i_h1 = -D2 and i_v2 = int_0^T (D1 + D2), half
-    the variance of the accumulated discount under the proxy, each
-    covariance increment weighted by its remaining exposure window.  No term
-    of these running integrals is negative for covariances >= 0, so nothing
-    cancels.
+    and the floored mean paths under c12 read the node columns only, c12
+    is built only under correlation and c11 only at order 2
+    (``_covariances``).  The kernels D1 and D2 of the module docstring are
+    carried from gap to gap by ``_RunningGrid.decayed``; i_h1 = -D2 and
+    i_v2 = int_0^T (D1 + D2), half the variance of the accumulated discount
+    under the proxy, each covariance increment weighted by its remaining
+    exposure window.  No term of these running integrals is negative for
+    covariances >= 0, so nothing cancels.
     """
     p = params
     # Gaps are cut to at most 1/(a1+a2), the fastest decay among the kernels;
     # every trial point that cuts them alike shares one grid.
     grid = _running_grid(T, n_nodes, p.alpha1 + p.alpha2)
-    s = grid.nodes
     alpha = np.array([[p.alpha1], [p.alpha2]])
     w, th = _psi_theta(alpha, grid.times)
     decay = np.exp(-alpha * grid.times)
     v0 = np.exp(-p.r0 * w[0] - p.alpha1 * p.beta1 * th[0]
                 - p.lambda0 * w[1] - p.alpha2 * p.beta2 * th[1])
     mean_lam = p.lambda0 * decay[1] + p.alpha2 * p.beta2 * w[1]
-    v_list = [v0]
-    h_list = [v0 * mean_lam]
+    v, h = [v0], [v0 * mean_lam]
     if order >= 1:
-        c11, c22, c12 = _covariances(p, grid, w, decay)
-        d2, d2_at_T = grid.decayed(c12 + c22, p.alpha2)
         # The payoff-1 transform has no first-order term: the correction
         # operator is linear in the centered state, whose proxy mean is zero
         # at the anchor.  The terminal-intensity payoff leaves the
         # discount/terminal covariance behind.
-        v_list.append(np.zeros_like(v0))
-        h_list.append(-np.concatenate((d2.ravel(), d2_at_T.ravel())) * v0)
+        c11, c22, c12 = _covariances(p, grid, w, decay, order)
+        d2, d2_at_T = grid.decayed(c22 if c12 is None else c12 + c22, p.alpha2)
+        h.append(-np.concatenate((d2.ravel(), d2_at_T.ravel())) * v0)
     del w, th, decay  # read no further; a long grid's peak is lower without them
     if order >= 2:
-        d = grid.decayed(c11 + c12, p.alpha1)[0] + d2
+        d = grid.decayed(c11 if c12 is None else c11 + c12, p.alpha1)[0] + d2
         v2 = np.concatenate((grid.at_nodes(d).ravel(), grid.at_points(d).ravel())) * v0
-        v_list.append(v2)
-        h_list.append(mean_lam * v2)
-    v, h = np.stack(v_list), np.stack(h_list)
-
-    def part(cols, shape):
-        shape = (order + 1,) + shape
-        return ExpansionTerms(v[:, cols].reshape(shape), h[:, cols].reshape(shape))
-
-    return grid, part(slice(0, s.size), s.shape), part(slice(s.size, None), T.shape)
+        v.append(v2)
+        h.append(mean_lam * v2)
+    return grid, v, h
 
 
 def _maturities(maturities) -> np.ndarray:
@@ -308,7 +306,13 @@ def expansion_terms(params: ModelParams, maturities, *, order: int = 2,
     if quad_nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
     _warn_anchor(params, order)
-    return _expand(params, _maturities(maturities), order, quad_nodes)[2]
+    T = _maturities(maturities)
+    grid, v, h = _expand(params, T, order, quad_nodes)
+    if order >= 1:
+        v.insert(1, np.zeros_like(v[0]))
+    shape = (order + 1,) + T.shape
+    at_T = slice(grid.nodes.size, None)
+    return ExpansionTerms(np.stack(v)[:, at_T].reshape(shape), np.stack(h)[:, at_T].reshape(shape))
 
 
 def v_expansion(params: ModelParams, maturities, *, order: int = 2,

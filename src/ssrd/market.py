@@ -25,6 +25,7 @@ import calendar
 import datetime as _dt
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -347,6 +348,14 @@ class Schedule:
     def accruals(self) -> tuple[float, ...]:
         """Year fraction of each period (times[i-1], times[i]]."""
         return tuple(t - p for t, p in zip(self.times, (0.0,) + self.times[:-1]))
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``times`` and ``accruals`` as read-only float arrays, built once."""
+        out = np.array(self.times), np.array(self.accruals)
+        for a in out:
+            a.flags.writeable = False
+        return out
 
 
 def _roll_dates_after(start: _dt.date, frequency_months: int) -> "iter":

@@ -88,16 +88,20 @@ def _legs(
     Entry i prices the contract ending at payment date t_i: the protection
     (1 - recovery) int_0^{t_i} h ds, and the annuity int_0^{t_i} h(s) (s -
     t_prev(s)) ds + sum_{j <= i} dt_j v(t_j).  One expansion call gives h at
-    the grid's nodes and v at the dates.  Both integrals are running
-    integrals on that grid, whose ``offsets`` are s - t_prev(s) at every
-    node; they take h with any leading axes, and one stacked call reads both.
+    the grid's nodes and v at the dates, each order's rows summed from the
+    left.  Both integrals are running integrals on that grid, whose
+    ``offsets`` are s - t_prev(s) at every node; they take h with any
+    leading axes, and one call reads both.
     """
-    times = np.asarray(schedule.times, dtype=float)
-    accruals = np.asarray(schedule.accruals, dtype=float)
-    grid, at_nodes, at_times = _expand(params, times, config.order, config.quad_nodes)
-    h = at_nodes.h()
-    prot, acc = grid.at_points(np.stack((h, h * grid.offsets)))
-    return (1.0 - config.recovery) * prot, acc + np.cumsum(accruals * at_times.v(), axis=-1)
+    times, accruals = schedule._arrays
+    grid, v, h = _expand(params, times, config.order, config.quad_nodes)
+    n = grid.nodes.size
+    integrands = np.empty((2,) + grid.nodes.shape)
+    integrands[0] = sum(h[1:], h[0])[:n].reshape(grid.nodes.shape)
+    np.multiply(integrands[0], grid.offsets, out=integrands[1])
+    prot, acc = grid.at_points(integrands)
+    coupons = np.cumsum(accruals * sum(v[1:], v[0])[n:], axis=-1)
+    return (1.0 - config.recovery) * prot, acc + coupons
 
 
 def _strip(valuation, tenors, config: PricingConfig) -> tuple[Schedule, list[int]] | None:
@@ -194,8 +198,7 @@ def uncorrelated_spread(params: ModelParams, schedule: Schedule, config: Pricing
     rate = CirParams(params.alpha1, params.beta1, params.sigma1_active, params.r0)
     hazard = params.intensity_leg()
 
-    times = np.asarray(schedule.times, dtype=float)
-    accruals = np.asarray(schedule.accruals, dtype=float)
+    times, accruals = schedule._arrays
     breaks = np.concatenate(([0.0], times))
     nodes, weights = panel_nodes(breaks, config.quad_nodes)
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -53,18 +52,23 @@ def _maybe_scalar(out, *inputs):
     return out
 
 
-def exp_integral(a, d):
-    """E(a, d) = int_0^d e^{a w} dw, stable for all a including a = 0."""
-    a, d = _as_float_arrays(a, d)
+def _exp_integral(a, d):
+    # E(a, d) for float a and d, unwrapped; the series only when some
+    # exponent needs it
     small = np.abs(a) < 1e-12
-    if not small.any():  # the series only when some exponent needs it
-        return _maybe_scalar(np.expm1(a * d) / a, a, d)
+    if not small.any():
+        return np.expm1(a * d) / a
     a_safe = np.where(small, 1.0, a)
     ad = a * d
     direct = np.expm1(a_safe * d) / a_safe
     series = d * (1.0 + ad * (0.5 + ad / 6.0))
-    out = np.where(small, series, direct)
-    return _maybe_scalar(out, a, d)
+    return np.where(small, series, direct)
+
+
+def exp_integral(a, d):
+    """E(a, d) = int_0^d e^{a w} dw, stable for all a including a = 0."""
+    a, d = _as_float_arrays(a, d)
+    return _maybe_scalar(_exp_integral(a, d), a, d)
 
 
 def exp_integral_da(a, d):
@@ -100,6 +104,9 @@ def psi(alpha, t1, t2):
     Equals (e^{alpha t2} - e^{alpha t1})/alpha, with the alpha -> 0 limit
     t2 - t1 taken when |alpha| < 1e-12.
     """
+    if isinstance(t1, float) and t1 == 0.0 and isinstance(t2, np.ndarray):
+        # e^{alpha * 0} = 1 and t2 - 0 = t2 exactly, for any finite alpha
+        return _exp_integral(alpha, t2.astype(float, copy=False))
     alpha, t1, t2 = _as_float_arrays(alpha, t1, t2)
     out = np.exp(alpha * t1) * exp_integral(alpha, t2 - t1)
     return _maybe_scalar(out, alpha, t1, t2)
@@ -198,6 +205,20 @@ def _cuts(gaps: np.ndarray, span: float, rate: float) -> np.ndarray:
     return pieces.astype(int)
 
 
+def _same_cuts(gaps: np.ndarray, pieces: np.ndarray) -> tuple[float, float]:
+    """An open interval of rates that cut every gap into ``pieces``.
+
+    A gap cut into k > 1 pieces keeps k for rates in ((k-1)/gap, k/gap],
+    one cut into 1 for rates up to 1/gap.  The intersection is narrowed by
+    1e-12 relative at each end, far more than the rounding of rate * gap
+    and of the quotients, so any rate strictly inside it gets these cuts
+    from ``_cuts``; at or past its ends the cuts must be counted.
+    """
+    lo = ((pieces - 1) / gaps).max(initial=0.0)
+    hi = (pieces / gaps).min(initial=math.inf)
+    return lo * (1.0 + 1e-12) if lo > 0.0 else -math.inf, hi * (1.0 - 1e-12)
+
+
 class _RunningGrid:
     """Gauss-Legendre nodes (shape (gaps, n)) on every gap of [0, sorted points].
 
@@ -214,10 +235,11 @@ class _RunningGrid:
     Besides the nodes and weights, a grid keeps every array that depends on
     nothing but the points, n and the cuts: ``times`` (the nodes, flattened,
     then the points), ``offsets`` (each node minus its gap's ``lower``), the
-    half widths, and the uncut ``gaps`` with their ``pieces``.  All of its
-    arrays are read-only, so one grid serves any number of calls: it lives
-    as long as ``_running_grid`` keeps handing it out, one grid per (points,
-    n, cut counts).
+    half widths, and the uncut ``gaps`` with their ``pieces``; ``rates`` is
+    an open interval of decay rates that give these cuts (``_same_cuts``).
+    All of its arrays are read-only, so one grid serves any number of calls:
+    it lives as long as ``_running_grid`` keeps handing it out, one grid per
+    (points, n, cut counts).
     """
 
     def __init__(self, points, n: int, rate: float):
@@ -237,15 +259,16 @@ class _RunningGrid:
         self.offsets = self.nodes - self.lower[:, None]
         self.half = 0.5 * self.widths[:, None]
         self.shifted = _leggauss(n)[0] + 1.0  # the nodes on [0, 2]
+        self.rates = _same_cuts(gaps, pieces)
         for value in vars(self).values():
             if isinstance(value, np.ndarray):  # a scalar point's index is a scalar
                 value.flags.writeable = False
 
     def _before(self, f):
         # value at every break: 0, then the per-gap totals summed in order
-        steps = (self.weights * f).sum(axis=-1)
-        return np.concatenate((np.zeros(steps.shape[:-1] + (1,)),
-                               steps.cumsum(axis=-1)), axis=-1)
+        out = np.zeros(f.shape[:-2] + (self.widths.size + 1,))
+        (self.weights * f).sum(axis=-1).cumsum(axis=-1, out=out[..., 1:])
+        return out
 
     def at_points(self, f):
         """int_0^T f for every point T, in the points' shape."""
@@ -257,7 +280,9 @@ class _RunningGrid:
         # many rows there are, and summed a block of gaps at a time, so the
         # (gaps, n, n) product never exceeds _WITHIN_BLOCK elements
         per_gap = math.prod(f.shape[:-2]) * f.shape[-1] * self.matrix.shape[0]
-        rows = max(1, min(f.shape[-2], _WITHIN_BLOCK // max(per_gap, 1)))
+        rows = max(1, _WITHIN_BLOCK // max(per_gap, 1))
+        if rows >= f.shape[-2]:  # one block
+            return self.half * (f[..., None, :] * self.matrix).sum(axis=-1)
         inside = np.empty(f.shape)
         for lo in range(0, f.shape[-2], rows):
             block = f[..., lo:lo + rows, None, :] * self.matrix
@@ -279,9 +304,11 @@ class _RunningGrid:
         # at large u would be magnified by a
         local = np.exp(a * self.half * self.shifted)
         g = local * f
-        steps = zip(np.exp(-a * self.widths).tolist(), (self.weights * g).sum(axis=-1).tolist())
-        carried = accumulate(steps, lambda b, step: step[0] * (b + step[1]), initial=0.0)
-        at_breaks = np.fromiter(carried, float, count=self.widths.size + 1)
+        carried = [0.0]
+        for e, total in zip(np.exp(-a * self.widths).tolist(),
+                            (self.weights * g).sum(axis=-1).tolist()):
+            carried.append(e * (carried[-1] + total))
+        at_breaks = np.array(carried)
         return (at_breaks[:-1, None] + self._within(g)) / local, at_breaks[self.index]
 
 
@@ -297,12 +324,17 @@ def _running_grid(points: np.ndarray, n: int, rate: float) -> _RunningGrid:
     ``rate``, built once per (points, n, cut counts).
 
     A grid depends on the rate only through its cut counts, so every rate
-    that cuts the gaps alike gets the same grid.  A grid of more than
-    ``_MAX_GAPS`` gaps is refused before it is built.
+    that cuts the gaps alike gets the same grid.  A rate strictly inside the
+    cached grid's ``rates`` does so without counting; at or past their ends
+    (a NaN rate included) the cuts are counted and compared.  A grid of more
+    than ``_MAX_GAPS`` gaps is refused before it is built.
     """
     key = (points.tobytes(), points.shape, n)
     grid = _grid_cache.get(key)
-    if grid is None or not (_cuts(grid.gaps, grid.span, rate) == grid.pieces).all():
+    if grid is None or not (
+        grid.rates[0] < rate < grid.rates[1] and grid.widths.size <= _MAX_GAPS
+        or (_cuts(grid.gaps, grid.span, rate) == grid.pieces).all()
+    ):
         grid = _RunningGrid(points, n, rate)
         _grid_cache.clear()
         _grid_cache[key] = grid

@@ -18,7 +18,10 @@ from ssrd.calibrate import (
     BootstrapAnomalyWarning,
     CalibrationError,
     _feller_penalty,
-    _levenberg_marquardt,
+    _lock_step,
+    _positive_pillars,
+    _rate_residuals,
+    _rate_starts,
     assemble_model,
     bootstrap_survival,
     calibrate_cds,
@@ -148,18 +151,19 @@ def test_rate_fit_warns_on_flat_unit_curve(monkeypatch):
 
 
 def test_rate_fit_reports_the_work_of_every_start(monkeypatch):
-    # n_eval sums all starts: every bond evaluation inside the fit, the one
-    # that fills the returned residuals aside.
-    calls = 0
+    # n_eval sums all starts: every bond row priced inside the fit, the one
+    # that fills the returned residuals aside.  The starts run in lock-step,
+    # so one bond call prices a row for each point of a stage.
+    rows = 0
 
-    def counting_bond(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return cir_bond(*args, **kwargs)
+    def counting_bond(legs, *args, **kwargs):
+        nonlocal rows
+        rows += len(legs)
+        return cir_bond(legs, *args, **kwargs)
 
     monkeypatch.setattr("ssrd.calibrate.cir_bond", counting_bond)
     res = calibrate_rates(_exact_curve())
-    assert res.n_eval == calls - 1
+    assert res.n_eval == rows - 1
     assert res.iterations > 0
 
 
@@ -184,13 +188,18 @@ def test_rate_fit_reaches_rounding_level_on_jittered_legs(seed):
     assert res.objective <= 1e-20
 
 
+# A leg that violates Feller (sigma^2 > 2 alpha beta): the penalized optimum
+# of its exact curve sits on the boundary.
+FELLER_LEG = CirParams(0.10362705, 0.0128997, 0.05546447, 0.02035826)
+
+
 def test_rate_fit_converges_on_the_feller_boundary():
     # The leg behind this curve violates Feller (sigma^2 > 2 alpha beta), so
     # the penalized optimum sits on the boundary.  Modelling the one-sided
     # penalty only by its slope at the current point left every start
     # crawling along the boundary until the budget ran out (55,492
     # evaluations, converged=False); the simplex reached SSR 2.261e-10.
-    leg = CirParams(0.10362705, 0.0128997, 0.05546447, 0.02035826)
+    leg = FELLER_LEG
     dfs = tuple(float(cir_bond(leg, 0.0, t)) for t in RATE_PILLARS)
     res = calibrate_rates(DiscountCurve(tenors=RATE_PILLARS, dfs=dfs, short_rate=leg.x0))
     assert res.converged
@@ -200,6 +209,28 @@ def test_rate_fit_converges_on_the_feller_boundary():
     assert abs(sigma * sigma - 2.0 * alpha * beta) <= 1e-6
 
 
+@pytest.mark.parametrize("curve", ["exact", "feller"])
+def test_rate_fit_starts_in_lock_step_are_the_starts_fitted_alone(curve):
+    # The lock-step prices every start's points of a stage in one bond call;
+    # each start must still end exactly where it ends when fitted alone.
+    if curve == "exact":
+        curve = _exact_curve()
+    else:
+        dfs = tuple(float(cir_bond(FELLER_LEG, 0.0, t)) for t in RATE_PILLARS)
+        curve = DiscountCurve(tenors=RATE_PILLARS, dfs=dfs, short_rate=FELLER_LEG.x0)
+    tenors, dfs = _positive_pillars(curve)
+    residuals = _rate_residuals(tenors, dfs, curve.short_rate)
+    transform = Transform(("positive", "positive", "positive"))
+    starts = _rate_starts(tenors, dfs)
+    together = _lock_step(residuals, starts, transform)
+    assert len(together) == len(starts) == 5
+    for start, res in zip(starts, together):
+        (alone,) = _lock_step(residuals, [start], transform)
+        assert res.x.tobytes() == alone.x.tobytes()
+        assert (res.objective, res.iterations, res.n_eval, res.converged) == (
+            alone.objective, alone.iterations, alone.n_eval, alone.converged)
+
+
 def test_lm_jacobian_steps_back_at_the_edge_of_the_finite_region():
     # Finite up to x = 1 and inf just above it: from x0 = 1 the forward
     # difference point lies past the edge, so the Jacobian differences
@@ -207,7 +238,12 @@ def test_lm_jacobian_steps_back_at_the_edge_of_the_finite_region():
     def edge(p):
         return np.array([p[0] - 2.0 if p[0] <= 1.0 else np.inf, -1.0])
 
-    res = _levenberg_marquardt(edge, np.array([1.0]), Transform(("positive",)))
+    def fit(residual):
+        (res,) = _lock_step(lambda xs: [residual(x) for x in xs], [np.array([1.0])],
+                            Transform(("positive",)))
+        return res
+
+    res = fit(edge)
     assert res.x[0] <= 1.0 and res.objective == pytest.approx(1.0, rel=1e-6)
 
     # Finite at x = 1 alone: no difference can be formed, and the start fails
@@ -215,8 +251,9 @@ def test_lm_jacobian_steps_back_at_the_edge_of_the_finite_region():
     def point(p):
         return np.array([0.5 if p[0] == 1.0 else np.inf, -1.0])
 
-    with pytest.raises(ValueError, match="either side"):
-        _levenberg_marquardt(point, np.array([1.0]), Transform(("positive",)))
+    res = fit(point)
+    assert isinstance(res, ValueError)
+    assert "either side" in str(res)
 
 
 # --------------------------------------------------------------------------

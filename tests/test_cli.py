@@ -351,6 +351,27 @@ def test_mc_check_refuses_an_euler_grid_it_cannot_finish(market_dir, capsys, mon
     )
 
 
+@pytest.mark.parametrize(("paths", "step", "count"), [
+    ("100000000", "1e-06", "1e+14"),  # each bound alone lets this through
+    ("10000001", "0.001", "1e+10"),  # one path past the bound
+])
+def test_mc_check_refuses_more_path_steps_than_it_can_finish(market_dir, capsys, monkeypatch,
+                                                             paths, step, count):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("the simulation ran")
+
+    monkeypatch.setattr(ssrd.cli, "mc_estimate", no_simulation)
+    code = run_cli("mc-check", "--params", str(market_dir / "params.txt"),
+                   "--config", str(market_dir / "config.txt"),
+                   "--tenors", "0.5,1", "--paths", paths, "--step", step)
+    assert code == 2
+    steps = f"{1.0 / float(step):.6g}"
+    assert capsys.readouterr().err == (
+        f"error: --paths {paths} over {steps} Euler steps needs {count} path-steps, "
+        f"more than the 1e+10 allowed\n"
+    )
+
+
 def test_mc_check_runs_a_grid_of_a_million_steps(market_dir, monkeypatch):
     # 1 / 1e-6 rounds to 999999.9999999999 steps: at the limit, not past it
     steps = []

@@ -54,3 +54,25 @@ def test_report_diff_of_a_checkout_against_itself_moves_nothing(monkeypatch, cap
     reports = out[1:-1]
     assert len(reports) == 41  # 8 subcommands; price, survival and mc-check on 12 params files
     assert all(" identical (" in line and ".json" in line for line in reports)
+
+
+def test_report_diff_perfbench_summary_counts_both_fits(monkeypatch, capsys, tmp_path):
+    # The calibrate line states the credit fits' n_eval and the rate fits'
+    # n_eval and iterations on both sides, so a bit-identity claim can
+    # quote them.
+    def market(rates_n_eval, rates_iterations, failed=False):
+        return {"credit": [0.1], "credit_n_eval": 300, "rates_n_eval": rates_n_eval,
+                "rates_iterations": rates_iterations, "failed": failed}
+
+    sides = []
+    for k, markets in enumerate(([market(879, 221), market(800, 200, True)],
+                                 [market(879, 221), market(801, 200, True)])):
+        side = tmp_path / f"side{k}"
+        side.mkdir()
+        (side / "perfbench.json").write_text(json.dumps({"0": {"price": [], "calibrate": markets}}))
+        sides.append(side)
+    assert not _script(monkeypatch, "report_diff")._compare_perfbench(*sides)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("seed 0 calibrate: 2 items, 1 moved; credit n_eval 600 -> 600, "
+                               "rate n_eval 1679 -> 1680, rate iterations 421 -> 421, "
+                               "failed 1 -> 1; ")

@@ -13,6 +13,7 @@ from ssrd.timeint import (
     _MAX_GAPS,
     _GridLimitError,
     _RunningGrid,
+    _cuts,
     _grid_cache,
     _running_grid,
     exp_integral,
@@ -200,6 +201,46 @@ def test_running_grid_is_built_once_per_points_nodes_and_cuts():
             assert not getattr(cached, name).flags.writeable, name
     with pytest.raises(ValueError, match="read-only"):
         cached.nodes[0, 0] = 0.0
+
+
+def _whole(gap: float, k: int) -> float:
+    """The largest rate whose product with ``gap`` rounds to at most the
+    whole number k: exactly k where some rate's product does."""
+    rate = k / gap
+    while rate * gap > k:
+        rate = np.nextafter(rate, -np.inf)
+    while np.nextafter(rate, np.inf) * gap <= k:
+        rate = np.nextafter(rate, np.inf)
+    return float(rate)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_running_grid_cache_cuts_exactly_at_whole_cut_counts(k):
+    # A cached grid is handed out for a rate strictly inside the interval
+    # that cuts every gap alike; where rate * gap is a whole number, or one
+    # ulp either side of it, the cuts must still be _cuts' own, whichever
+    # side of the edge the cached grid was built on.
+    points = np.array([0.5, 1.0, 1.7, 6.0])
+    gaps = _RunningGrid(points, 8, 1.0).gaps  # 0.5, 0.5, 0.7 and 4.3, as rounded
+    for gap in np.unique(gaps).tolist():
+        whole = _whole(gap, k)
+        assert whole * gap <= k < np.nextafter(whole, np.inf) * gap
+        for rate in (np.nextafter(whole, -np.inf), whole, np.nextafter(whole, np.inf)):
+            for warm in (rate * (1.0 - 1e-9), rate * (1.0 + 1e-9)):
+                _grid_cache.clear()
+                _running_grid(points, 8, warm)
+                grid = _running_grid(points, 8, rate)
+                np.testing.assert_array_equal(grid.pieces, _cuts(gaps, grid.span, rate))
+                np.testing.assert_array_equal(grid.nodes, _RunningGrid(points, 8, rate).nodes)
+
+
+def test_running_grid_cache_refuses_a_nan_rate():
+    points = np.array([0.5, 1.0, 1.5, 6.0])
+    _grid_cache.clear()
+    grid = _running_grid(points, 8, 0.3)
+    with pytest.raises(_GridLimitError, match="decay rate nan"):
+        _running_grid(points, 8, np.nan)
+    assert list(_grid_cache.values()) == [grid]
 
 
 def test_running_grid_refuses_before_any_lookup(monkeypatch):
