@@ -352,7 +352,7 @@ class Schedule:
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``times`` and ``accruals`` as read-only float arrays, built once."""
-        out = np.array(self.times), np.array(self.accruals)
+        out = np.array(self.times, dtype=float), np.array(self.accruals, dtype=float)
         for a in out:
             a.flags.writeable = False
         return out

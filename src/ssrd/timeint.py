@@ -108,7 +108,7 @@ def psi(alpha, t1, t2):
         # e^{alpha * 0} = 1 and t2 - 0 = t2 exactly, for any finite alpha
         return _exp_integral(alpha, t2.astype(float, copy=False))
     alpha, t1, t2 = _as_float_arrays(alpha, t1, t2)
-    out = np.exp(alpha * t1) * exp_integral(alpha, t2 - t1)
+    out = np.exp(alpha * t1) * _exp_integral(alpha, t2 - t1)
     return _maybe_scalar(out, alpha, t1, t2)
 
 
@@ -280,9 +280,7 @@ class _RunningGrid:
         # many rows there are, and summed a block of gaps at a time, so the
         # (gaps, n, n) product never exceeds _WITHIN_BLOCK elements
         per_gap = math.prod(f.shape[:-2]) * f.shape[-1] * self.matrix.shape[0]
-        rows = max(1, _WITHIN_BLOCK // max(per_gap, 1))
-        if rows >= f.shape[-2]:  # one block
-            return self.half * (f[..., None, :] * self.matrix).sum(axis=-1)
+        rows = max(1, min(f.shape[-2], _WITHIN_BLOCK // max(per_gap, 1)))
         inside = np.empty(f.shape)
         for lo in range(0, f.shape[-2], rows):
             block = f[..., lo:lo + rows, None, :] * self.matrix
@@ -325,16 +323,14 @@ def _running_grid(points: np.ndarray, n: int, rate: float) -> _RunningGrid:
 
     A grid depends on the rate only through its cut counts, so every rate
     that cuts the gaps alike gets the same grid.  A rate strictly inside the
-    cached grid's ``rates`` does so without counting; at or past their ends
-    (a NaN rate included) the cuts are counted and compared.  A grid of more
-    than ``_MAX_GAPS`` gaps is refused before it is built.
+    cached grid's ``rates`` gets it without counting; at or past their ends
+    (a NaN rate included) the grid is built afresh, which counts the cuts.  A
+    grid of more than ``_MAX_GAPS`` gaps is refused before it is built.
     """
     key = (points.tobytes(), points.shape, n)
     grid = _grid_cache.get(key)
-    if grid is None or not (
-        grid.rates[0] < rate < grid.rates[1] and grid.widths.size <= _MAX_GAPS
-        or (_cuts(grid.gaps, grid.span, rate) == grid.pieces).all()
-    ):
+    if grid is None or not (grid.rates[0] < rate < grid.rates[1]
+                            and grid.widths.size <= _MAX_GAPS):
         grid = _RunningGrid(points, n, rate)
         _grid_cache.clear()
         _grid_cache[key] = grid

@@ -419,3 +419,6 @@ def test_schedule_validation():
     with pytest.raises(MarketDataError):
         Schedule(times=(0.0, 0.5))
     assert Schedule(times=(0.5, 1.0, 1.25)).accruals == (0.5, 0.5, 0.25)
+    times, accruals = Schedule(times=(1, 2, 3))._arrays  # whole-year times
+    assert times.dtype == accruals.dtype == float
+    assert times.tolist() == [1.0, 2.0, 3.0] and accruals.tolist() == [1.0, 1.0, 1.0]
