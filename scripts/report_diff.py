@@ -6,11 +6,14 @@
 PARENT and CHANGE are the roots of two checkouts of this repository.  The
 PARENT checkout writes one fixed input set: the synthetic market of
 ``scripts/run_synthetic_pipeline.py --out``, a params file per fixture
-credit set at rho in {-0.5, 0, 0.5}, and a fixed ``mc-check`` seed.  Each
-checkout then runs all eight subcommands on it, in one subprocess with that
-checkout's ``src/`` on ``PYTHONPATH``.  For every report this prints
-whether its bytes are identical once the timing block is dropped, and the
-largest absolute and relative numeric move with its cell.
+credit set at rho in {-0.5, 0, 0.5}, a fixed ``mc-check`` seed, and two
+more curves for ``calibrate-rates``: a hump no square-root curve has, whose
+fit ends on the alpha1 bound, and the exact curve of a leg that violates
+Feller, whose fit ends on the Feller boundary.  Each checkout then runs
+all eight subcommands on it, in one subprocess with that checkout's
+``src/`` on ``PYTHONPATH``.  For every report this prints whether its
+bytes are identical once the timing block is dropped, and the largest
+absolute and relative numeric move with its cell.
 
 ``--perfbench SEEDS`` (``0`` or ``0-9``) also runs perfbench's ``price``
 scenarios and ``calibrate`` markets of those seeds through the public API:
@@ -45,6 +48,8 @@ PRICE_TENORS = "1,2,3,5,7,10"
 MC_TENORS = "1,3,5"
 MC_SEED = 7
 REFIT_BP = 0.5
+HUMP = 0.02  # the fixture curve times exp(-HUMP t^2 e^{-t/2})
+FELLER_LEG = (0.10362705, 0.0128997, 0.05546447, 0.02035826)  # sigma^2 > 2 alpha beta
 
 
 # --------------------------------------------------------------------------
@@ -54,11 +59,22 @@ REFIT_BP = 0.5
 def _write_inputs(work: Path, seeds: list[int]) -> None:
     """The fixed input set, written with the running checkout's code."""
     import run_synthetic_pipeline as synthetic
+    from ssrd.cir import CirParams, cir_bond
 
     market = work / "market"
     with contextlib.redirect_stdout(io.StringIO()):
         synthetic.main(["--out", str(market)])
     rate = synthetic.RATE
+    feller = CirParams(*FELLER_LEG)
+    curves = {
+        "hump": (rate.x0, lambda t: float(cir_bond(rate, 0.0, t))
+                 * math.exp(-HUMP * t * t * math.exp(-t / 2))),
+        "feller": (feller.x0, lambda t: float(cir_bond(feller, 0.0, t))),
+    }
+    for name, (r0, df) in curves.items():
+        lines = ["# mode=df", f"# r0={r0!r}"]
+        lines += [f"{t!r},{df(t)!r}" for t in synthetic.CURVE_PILLARS]
+        (work / f"{name}.csv").write_text("\n".join(lines) + "\n")
     names = []
     for name, credit in synthetic.CREDIT_SETS.items():
         for rho in RHOS:
@@ -88,6 +104,8 @@ def _commands(work: Path, manifest: dict) -> list[tuple[str, list[str]]]:
     curve, quotes, config = str(m / "curve.csv"), str(m / "quotes.csv"), str(m / "config.txt")
     runs = [
         ("calibrate-rates", ["calibrate-rates", "--curve", curve]),
+        ("calibrate-rates-hump", ["calibrate-rates", "--curve", str(work / "hump.csv")]),
+        ("calibrate-rates-feller", ["calibrate-rates", "--curve", str(work / "feller.csv")]),
         ("match-vol", ["match-vol", "--curve", curve, "--quotes", quotes]),
         ("calibrate-cds", ["calibrate-cds", "--curve", curve, "--quotes", quotes,
                            "--config", config]),

@@ -18,11 +18,12 @@ has a fixed budget of 4,000 iterations.  The rate fit refuses a
 mean-reversion speed alpha1 above 50; a fit that ends on that bound is
 reported unconverged.  The credit fit's bound is the pricing grid, which
 refuses a trial point whose decay rate alpha1 + alpha2 it cannot cover.
-Positivity and the correlation bound are enforced by the exp/tanh
-transforms of :class:`~ssrd.simplex.Transform`, and the Feller condition
-by a soft penalty 10^6 * max(0, sigma^2 - 2 alpha beta)^2 added to the
-objective (never to the reported fit quality, which is always the bare
-weighted sum of squared quote residuals).
+Rates are fitted in log coordinates, and credit in the exp/tanh ones of
+:class:`~ssrd.simplex.Transform`, so positivity and the correlation bound
+hold; the Feller condition is kept by a soft penalty 10^6 * max(0,
+sigma^2 - 2 alpha beta)^2 added to the objective (never to the reported
+fit quality, which is always the bare weighted sum of squared quote
+residuals).
 
 Spread residuals are kept in decimal units throughout.  Quote weights
 are chosen by scheme name (``uniform``, ``bidask``, ``invtenor``) and
@@ -39,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cir import CirParams, cir_bond, feller_margin
+from .cir import CirParams, _bond, cir_bond, feller_margin
 from .expansion import ModelParams, proxy_bond_expansion
 from .market import CdsQuoteSet, DiscountCurve, PricingConfig
 from .pricing import _strip, spread_ladder
@@ -111,7 +112,7 @@ def _positive_pillars(curve: DiscountCurve) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rate_starts(tenors: np.ndarray, dfs: np.ndarray) -> list[np.ndarray]:
-    """Log-space grid of starting points anchored at the long-end zero rate."""
+    """Starting points log(alpha1, beta1, sigma1) anchored at the long-end zero rate."""
     level = max(-math.log(dfs[-1]) / tenors[-1], 1e-4)
     grid = [
         (0.20, level, 0.05),
@@ -120,7 +121,7 @@ def _rate_starts(tenors: np.ndarray, dfs: np.ndarray) -> list[np.ndarray]:
         (0.50, 2.0 * level, 0.05),
         (0.10, 0.5 * level, 0.01),
     ]
-    return [np.array(g) for g in grid]
+    return [np.array([math.log(v) for v in g]) for g in grid]
 
 
 # Levenberg-Marquardt settings: initial damping relative to max diag(J'J),
@@ -150,15 +151,14 @@ def _sum_sq(r: np.ndarray) -> float:
     return float(counted @ counted)
 
 
-def _levenberg_marquardt(x0: np.ndarray, transform: Transform):
-    """Minimize a sum of squares of residuals from ``x0`` by damped Gauss-Newton.
+def _levenberg_marquardt(z0: np.ndarray):
+    """Minimize a sum of squares of residuals from ``z0`` by damped Gauss-Newton.
 
-    A generator: it yields lists of points, in the unconstrained
-    coordinates z of ``transform``, and is sent back each point's
+    A generator: it yields lists of points z and is sent back each point's
     residuals, or None where they cannot be had (see ``_lock_step``); it
-    returns a ``CalibrationResult``.  The last residual is a one-sided
-    penalty: only its positive part enters the sum.  Each iteration solves
-    (J'J + mu I) d = -J'r with a forward-difference Jacobian in z; mu
+    returns a ``CalibrationResult`` at a point z.  The last residual is a
+    one-sided penalty: only its positive part enters the sum.  Each iteration solves
+    (J'J + mu I) d = -J'r with a forward-difference Jacobian; mu
     follows Nielsen's update (Madsen, Nielsen & Tingleff 2004).
     Levenberg's mu I is used rather than Marquardt's diag(J'J), whose
     scaling lets a weakly identified volatility collapse to zero.  The
@@ -174,7 +174,7 @@ def _levenberg_marquardt(x0: np.ndarray, transform: Transform):
     1e-10 relative to z, or when the actual and the predicted relative
     reductions are both at most 1e-10 (More 1978).  Exhausting the
     4,000-iteration budget returns the current point with
-    ``converged=False``; no residuals at ``x0`` is an error.
+    ``converged=False``; no residuals at ``z0`` is an error.
     """
     n_eval = 0
 
@@ -216,7 +216,7 @@ def _levenberg_marquardt(x0: np.ndarray, transform: Transform):
         normal.flat[::normal.shape[0] + 1] += mu  # J'J + mu I
         return np.linalg.solve(normal, -(jac.T @ r))
 
-    z = transform.unconstrain(np.asarray(x0, dtype=float))
+    z = np.array(z0, dtype=float)
     (r,) = yield [z]
     n_eval += 1
     if r is None:
@@ -259,7 +259,7 @@ def _levenberg_marquardt(x0: np.ndarray, transform: Transform):
             nu *= 2.0
 
     return CalibrationResult(
-        x=transform.constrain(z),
+        x=z,
         objective=ssr,
         iterations=iterations,
         n_eval=n_eval,
@@ -267,33 +267,17 @@ def _levenberg_marquardt(x0: np.ndarray, transform: Transform):
     )
 
 
-def _answers(residuals, zs: list[np.ndarray], transform: Transform) -> list:
-    """Each point's residuals from one ``residuals`` call, None where they
-    cannot be had: its transform overflows, it lies outside the residuals'
-    domain, or they are not finite."""
-    points = {}
-    for k, z in enumerate(zs):
-        try:
-            points[k] = transform.constrain(z)
-        except OverflowError:
-            pass
-    rows = dict(zip(points, residuals(list(points.values()))))
-    return [None if r is None or not np.isfinite(r).all() else r
-            for r in map(rows.get, range(len(zs)))]
-
-
-def _lock_step(residuals, starts, transform: Transform) -> list:
+def _lock_step(residuals, starts) -> list:
     """``_levenberg_marquardt`` from every start at once.
 
     In each round every running start asks for the residuals of its next
-    points, and one ``residuals`` call takes all of them: a list of points
-    in the constrained coordinates, answered by one row each, or None for a
-    point outside the residuals' domain.  A point that overflows its
-    transform, or whose row is not finite, gets None.  Each start sees the
-    same answers, in the same order, as it would alone.  Returns each
-    start's ``CalibrationResult``, or the ``ValueError`` that ended it.
+    points, and one ``residuals`` call takes all of them: a list of points,
+    answered by one finite row each, or None for a point whose residuals
+    cannot be had.  Each start sees the same answers, in the same order, as
+    it would alone.  Returns each start's ``CalibrationResult``, or the
+    ``ValueError`` that ended it.
     """
-    fits = {i: _levenberg_marquardt(x0, transform) for i, x0 in enumerate(starts)}
+    fits = {i: _levenberg_marquardt(z0) for i, z0 in enumerate(starts)}
     outcomes: list = [None] * len(fits)
     replies = dict.fromkeys(fits)  # None starts a generator
     while fits:
@@ -307,33 +291,38 @@ def _lock_step(residuals, starts, transform: Transform) -> list:
             except ValueError as exc:
                 outcomes[i] = exc
             del fits[i]
-        answers = iter(_answers(residuals, [z for zs in asks.values() for z in zs], transform))
+        answers = iter(residuals([z for zs in asks.values() for z in zs]))
         replies = {i: [next(answers) for _ in zs] for i, zs in asks.items()}
     return outcomes
 
 
 def _rate_residuals(tenors: np.ndarray, dfs: np.ndarray, r0: float):
-    """The rate fit's residuals of a list of points (alpha1, beta1, sigma1):
-    ``cir_bond - dfs`` and the penalty 1e3 (sigma^2 - 2 alpha beta), one row
-    per point, from one bond call for every point in the domain.  A point
-    with alpha1 above ``_ALPHA_MAX``, or that is no valid leg, gets None."""
+    """The rate fit's residuals of a list of points z = log(alpha1, beta1,
+    sigma1): ``cir_bond - dfs`` and the penalty 1e3 (sigma^2 - 2 alpha beta),
+    one row per point, from one bond call for the points that pass a screen.
+    A point maps back by ``math.exp`` per component, as ``Transform`` does,
+    and gets None when that overflows, when alpha1 is not in (0, 50] (it
+    can underflow to 0), or when its row is not finite."""
 
     def residuals(points: list[np.ndarray]) -> list[np.ndarray | None]:
-        legs = {}
-        for k, (alpha, beta, sigma) in enumerate(points):
-            if alpha > _ALPHA_MAX:
-                continue
+        rows: list[np.ndarray | None] = [None] * len(points)
+        keep, legs = [], []
+        for k, z in enumerate(points):
             try:
-                legs[k] = CirParams(alpha, beta, sigma, r0)
-            except ValueError:
+                leg = tuple(map(math.exp, z.tolist()))
+            except OverflowError:
                 continue
-        rows = [None] * len(points)
+            if 0.0 < leg[0] <= _ALPHA_MAX:
+                keep.append(k)
+                legs.append(leg)
         if legs:
+            alpha, beta, sigma = np.array(legs).T.reshape(3, -1, 1)
             out = np.empty((len(legs), tenors.size + 1))
-            out[:, :-1] = cir_bond(list(legs.values()), 0.0, tenors) - dfs
-            out[:, -1] = [-1e3 * feller_margin(*points[k]) for k in legs]
-            for k, row in zip(legs, out):
-                rows[k] = row
+            out[:, :-1] = _bond(alpha, beta, sigma, r0, tenors) - dfs
+            out[:, -1:] = -1e3 * feller_margin(alpha, beta, sigma)
+            for k, row, finite in zip(keep, out, np.isfinite(out).all(axis=1).tolist()):
+                if finite:
+                    rows[k] = row
         return rows
 
     return residuals
@@ -346,10 +335,12 @@ def calibrate_rates(curve: DiscountCurve) -> CalibrationResult:
     at the long-end zero rate, on the unweighted discount-factor residuals;
     the Feller penalty enters as one more, one-sided residual 1e3 *
     (sigma^2 - 2 alpha beta), counted only when positive, so the sum of
-    squares is the penalized objective.  The starts run in lock-step
-    (``_lock_step``): one bond call prices the points every start asks for
-    next, and each start ends exactly where it ends alone.  The best start
-    is returned, with ``n_eval`` and ``iterations`` summed over all starts.  Fit quality -- not parameter identification -- is the
+    squares is the penalized objective.  Each start works in log
+    coordinates and the best one is mapped back once.  The starts run in
+    lock-step (``_lock_step``): one bond call prices the points every start
+    asks for next, and each start ends exactly where it ends alone.  The
+    best start is returned, with ``n_eval`` and ``iterations`` summed over
+    all starts.  Fit quality -- not parameter identification -- is the
     contract; long-tenor curves carry little independent information about
     alpha1 vs sigma1.
 
@@ -374,11 +365,10 @@ def calibrate_rates(curve: DiscountCurve) -> CalibrationResult:
     residuals = _rate_residuals(tenors, dfs, curve.short_rate)
 
     t_start = time.perf_counter()
-    transform = Transform(("positive", "positive", "positive"))
     best: CalibrationResult | None = None
     failures: list[str] = []
     n_eval = iterations = 0
-    for res in _lock_step(residuals, _rate_starts(tenors, dfs), transform):
+    for res in _lock_step(residuals, _rate_starts(tenors, dfs)):
         if isinstance(res, ValueError):
             failures.append(str(res))
             continue
@@ -388,6 +378,8 @@ def calibrate_rates(curve: DiscountCurve) -> CalibrationResult:
             best = res
     if best is None:
         raise CalibrationError("all starts failed: " + "; ".join(failures))
+    errors = residuals([best.x])[0][:-1]
+    best = replace(best, x=np.array([math.exp(v) for v in best.x.tolist()]))
     if best.x[0] >= _ALPHA_MAX * (1.0 - 1e-6):
         warnings.warn(
             f"rate fit ended on the mean-reversion bound: alpha1 = {best.x[0]:.10g}, "
@@ -397,7 +389,6 @@ def calibrate_rates(curve: DiscountCurve) -> CalibrationResult:
         )
         best = replace(best, converged=False)
 
-    errors = residuals([best.x])[0][:-1]
     return replace(
         best,
         objective=float(np.sum(errors**2)),
@@ -533,8 +524,8 @@ def calibrate_cds(
     what a final repricing would see.  ``weights`` names the scheme of
     :func:`compute_weights`.  ``correlated=False`` pins rho = 0 and fits
     four parameters.  A trial point whose pricing grid would be too large
-    counts as an infinite objective; such a start point is a
-    :class:`CalibrationError`.
+    counts as an infinite objective; such a start point, or one whose
+    objective is not finite, is a :class:`CalibrationError`.
     """
     weight_arr = np.array(compute_weights(weights, quotes))
     n_free = 5 if correlated else 4
@@ -555,12 +546,15 @@ def calibrate_cds(
         model = assemble_model(rate, sigma1_hat, credit, correlated)
         return spread_ladder(model, union, ends, cfg)
 
+    def loss(p: np.ndarray) -> float:
+        resid = spreads_at(p, loop_config) - targets
+        return float((weight_arr * resid**2).sum()) + _feller_penalty(p[0], p[1], p[2])
+
     def objective(p: np.ndarray) -> float:
         try:
-            resid = spreads_at(p, loop_config) - targets
+            return loss(p)
         except _GridLimitError:  # a trial point the pricing grid refuses
             return math.inf
-        return float((weight_arr * resid**2).sum()) + _feller_penalty(p[0], p[1], p[2])
 
     if initial is None:
         h_short = float(targets[0]) / lgd
@@ -573,12 +567,17 @@ def calibrate_cds(
         kinds = kinds[:4]
 
     try:
-        spreads_at(initial, loop_config)
+        with np.errstate(all="ignore"):  # judged below, not warned about
+            start = loss(initial)
     except _GridLimitError as exc:
         raise CalibrationError(
             f"credit fit cannot start: the pricing grid refuses its decay rate "
             f"alpha1 + alpha2 ({exc})"
         ) from None
+    if not math.isfinite(start):
+        raise CalibrationError(
+            f"credit fit cannot start: its objective at the start point is {start}"
+        )
 
     t_start = time.perf_counter()
     res = nelder_mead(objective, initial, Transform(kinds))

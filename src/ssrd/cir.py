@@ -57,16 +57,6 @@ def feller_margin(alpha: float, beta: float, sigma: float) -> float:
     return 2.0 * alpha * beta - sigma * sigma
 
 
-def _leg_fields(params, ndim: int):
-    """alpha, beta, sigma and x0 of one leg, as floats, or of a sequence of
-    legs, as columns with a leading axis against maturities of ``ndim`` axes.
-    """
-    if isinstance(params, CirParams):
-        return params.alpha, params.beta, params.sigma, params.x0
-    fields = [(p.alpha, p.beta, p.sigma, p.x0) for p in params]
-    return np.array(fields).T.reshape((4, len(fields)) + (1,) * ndim)
-
-
 def _affine_coefficients(alpha, beta, sigma, tau):
     # one formula for floats and for columns: every operation is elementwise,
     # so each leg of a column gets the bits it gets alone
@@ -92,19 +82,21 @@ def _affine_coefficients(alpha, beta, sigma, tau):
     return log_a, b, h, u, denom
 
 
-def cir_bond(params, t: float, T):
+def _bond(alpha, beta, sigma, x0, tau):
+    """A e^{-B x0} over ``tau``: floats, or columns of legs against maturities."""
+    log_a, b, _, _, _ = _affine_coefficients(alpha, beta, sigma, tau)
+    return np.exp(log_a - b * x0)
+
+
+def cir_bond(params: CirParams, t: float, T):
     """E[exp(-int_t^T X ds) | X_t = params.x0].
 
-    ``T`` may be a scalar or array of maturities >= t.  ``params`` may also
-    be a sequence of legs, priced in one call: the result then has a leading
-    axis, one row per leg, each row equal to that leg priced alone.
+    ``T`` may be a scalar or array of maturities >= t.
     """
     T = np.asarray(T, dtype=float)
     if (T < t).any():
         raise ValueError("maturity before evaluation time")
-    alpha, beta, sigma, x0 = _leg_fields(params, T.ndim)
-    log_a, b, _, _, _ = _affine_coefficients(alpha, beta, sigma, T - t)
-    out = np.exp(log_a - b * x0)
+    out = _bond(params.alpha, params.beta, params.sigma, params.x0, T - t)
     return float(out) if out.ndim == 0 else out
 
 

@@ -9,8 +9,8 @@ own keeps the iteration bit-for-bit reproducible: fixed coefficients and
 stopping tolerances, no randomized restarts, no adaptive tweaks.
 
 Bounds are handled by reparametrization rather than clipping, so the
-simplex (and the rate fit's solver) always works in an unconstrained space.
-Every model parameter is one of two kinds:
+simplex always works in an unconstrained space.  Every model parameter is
+one of two kinds:
 
     positive     x = exp(z)        (mean-reversion speeds, levels, vols)
     correlation  x = tanh(z)       (rho in [-1, 1])
@@ -112,7 +112,8 @@ def nelder_mead(objective, x0, transform: Transform) -> CalibrationResult:
     from the best one, in unconstrained coordinates) falls below 1e-8 or
     the objective spread across vertices falls below 1e-12.  Exhausting the
     4,000-iteration budget returns the best vertex with ``converged=False``
-    instead of raising; a non-finite objective at the start is an error.
+    instead of raising; a point whose transform overflows scores inf, and a
+    non-finite objective at the start is an error.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = x0.size
@@ -125,7 +126,11 @@ def nelder_mead(objective, x0, transform: Transform) -> CalibrationResult:
     def f(z: np.ndarray) -> float:
         nonlocal n_eval
         n_eval += 1
-        return float(objective(transform.constrain(z)))
+        try:
+            x = transform.constrain(z)
+        except OverflowError:
+            return math.inf
+        return float(objective(x))
 
     sim = _initial_simplex(z0)
     fvals = np.array([f(z) for z in sim])

@@ -154,14 +154,14 @@ def test_rate_fit_runs_without_the_simplex(monkeypatch):
     from test_calibrate import _exact_curve
 
     rows = 0
-    bond = ssrd.calibrate.cir_bond
+    bond = ssrd.calibrate._bond
 
-    def counting_bond(legs, *args):
+    def counting_bond(alpha, *args):
         nonlocal rows
-        rows += len(legs)
-        return bond(legs, *args)
+        rows += len(alpha)
+        return bond(alpha, *args)
 
-    monkeypatch.setattr(ssrd.calibrate, "cir_bond", counting_bond)
+    monkeypatch.setattr(ssrd.calibrate, "_bond", counting_bond)
     tracer = _tracer_module().Tracer()
     tracer.install()
     try:

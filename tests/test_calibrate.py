@@ -30,10 +30,9 @@ from ssrd.calibrate import (
     match_volatility,
     run_pipeline,
 )
-from ssrd.cir import CirParams, cir_bond
+from ssrd.cir import CirParams, cir_bond, feller_margin
 from ssrd.market import CdsQuoteSet, DiscountCurve, PricingConfig, build_schedule
 from ssrd.pricing import spread_ladder
-from ssrd.simplex import Transform
 
 CFG = PricingConfig(roll="anniversary")
 RATE = CirParams(RATE_FIXTURE["alpha1"], RATE_FIXTURE["beta1"],
@@ -155,13 +154,14 @@ def test_rate_fit_reports_the_work_of_every_start(monkeypatch):
     # that fills the returned residuals aside.  The starts run in lock-step,
     # so one bond call prices a row for each point of a stage.
     rows = 0
+    bond = ssrd.calibrate._bond
 
-    def counting_bond(legs, *args, **kwargs):
+    def counting_bond(alpha, *args):
         nonlocal rows
-        rows += len(legs)
-        return cir_bond(legs, *args, **kwargs)
+        rows += len(alpha)
+        return bond(alpha, *args)
 
-    monkeypatch.setattr("ssrd.calibrate.cir_bond", counting_bond)
+    monkeypatch.setattr(ssrd.calibrate, "_bond", counting_bond)
     res = calibrate_rates(_exact_curve())
     assert res.n_eval == rows - 1
     assert res.iterations > 0
@@ -220,36 +220,52 @@ def test_rate_fit_starts_in_lock_step_are_the_starts_fitted_alone(curve):
         curve = DiscountCurve(tenors=RATE_PILLARS, dfs=dfs, short_rate=FELLER_LEG.x0)
     tenors, dfs = _positive_pillars(curve)
     residuals = _rate_residuals(tenors, dfs, curve.short_rate)
-    transform = Transform(("positive", "positive", "positive"))
     starts = _rate_starts(tenors, dfs)
-    together = _lock_step(residuals, starts, transform)
+    together = _lock_step(residuals, starts)
     assert len(together) == len(starts) == 5
     for start, res in zip(starts, together):
-        (alone,) = _lock_step(residuals, [start], transform)
+        (alone,) = _lock_step(residuals, [start])
         assert res.x.tobytes() == alone.x.tobytes()
         assert (res.objective, res.iterations, res.n_eval, res.converged) == (
             alone.objective, alone.iterations, alone.n_eval, alone.converged)
 
 
+def test_rate_screen_refuses_what_cannot_be_priced_and_prices_the_rest():
+    # One bond call for the points the screen passes; None for a point whose
+    # map back overflows, whose alpha1 is above the bound, or whose alpha1
+    # underflows to 0.  The row it prices is the one-leg bond's, bit for bit.
+    tenors, dfs = _positive_pillars(_exact_curve())
+    residuals = _rate_residuals(tenors, dfs, RATE.x0)
+    valid = np.log([RATE.alpha, RATE.beta, RATE.sigma])
+    points = [np.array([800.0, 0.0, 0.0]), np.array([math.log(60.0), -3.0, -3.0]),
+              np.array([-800.0, -3.0, -3.0]), valid]
+    assert math.exp(points[2][0]) == 0.0
+    rows = residuals(points)
+    assert rows[:3] == [None, None, None]
+    alpha, beta, sigma = (math.exp(v) for v in valid)
+    bond = cir_bond(CirParams(alpha, beta, sigma, RATE.x0), 0.0, tenors) - dfs
+    assert rows[3][:-1].tobytes() == bond.tobytes()
+    assert rows[3][-1] == -1e3 * feller_margin(alpha, beta, sigma)
+
+
 def test_lm_jacobian_steps_back_at_the_edge_of_the_finite_region():
-    # Finite up to x = 1 and inf just above it: from x0 = 1 the forward
+    # Residuals up to z = 1 and none just above it: from z0 = 1 the forward
     # difference point lies past the edge, so the Jacobian differences
-    # backward and the fit stays on the finite side.
-    def edge(p):
-        return np.array([p[0] - 2.0 if p[0] <= 1.0 else np.inf, -1.0])
+    # backward and the fit stays on the side that has them.
+    def edge(z):
+        return np.array([z[0] - 2.0, -1.0]) if z[0] <= 1.0 else None
 
     def fit(residual):
-        (res,) = _lock_step(lambda xs: [residual(x) for x in xs], [np.array([1.0])],
-                            Transform(("positive",)))
+        (res,) = _lock_step(lambda zs: [residual(z) for z in zs], [np.array([1.0])])
         return res
 
     res = fit(edge)
     assert res.x[0] <= 1.0 and res.objective == pytest.approx(1.0, rel=1e-6)
 
-    # Finite at x = 1 alone: no difference can be formed, and the start fails
-    # with the ValueError that calibrate_rates records as a failed start.
-    def point(p):
-        return np.array([0.5 if p[0] == 1.0 else np.inf, -1.0])
+    # Residuals at z = 1 alone: no difference can be formed, and the start
+    # fails with the ValueError that calibrate_rates records as a failed start.
+    def point(z):
+        return np.array([0.5, -1.0]) if z[0] == 1.0 else None
 
     res = fit(point)
     assert isinstance(res, ValueError)

@@ -646,6 +646,22 @@ def test_warnings_of_a_fit_that_cannot_start_reach_stderr(market_dir, tmp_path, 
     assert lines[2].startswith("error: credit fit cannot start: the pricing grid refuses")
 
 
+@pytest.mark.parametrize("quote", ["1e200,2e200", "1e300,2e300"])
+def test_credit_fit_whose_start_cannot_be_priced_exits_two(market_dir, tmp_path, capsys, quote):
+    # Quotes this large put the credit start where its objective is nan; at
+    # 1e300 the start simplex's bump also overflows exp.  Either is refused
+    # before the search, with one line and no traceback.
+    quotes = tmp_path / "quotes.csv"
+    quotes.write_text("".join(f"{t},{quote}\n" for t in TENORS))
+    code = run_cli("calibrate-cds", "--curve", str(market_dir / "curve.csv"),
+                   "--quotes", str(quotes), "--config", str(market_dir / "config.txt"))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: credit fit cannot start: its objective at the start "
+                            "point is nan\n")
+
+
 def test_full_pipeline_on_a_dipped_curve_converges(market_dir, tmp_path):
     # The mirror image of the hump is fitted with alpha1 near 5.7e-7, far
     # below the bound.

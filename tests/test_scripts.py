@@ -52,7 +52,9 @@ def test_report_diff_of_a_checkout_against_itself_moves_nothing(monkeypatch, cap
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == "no report moved"
     reports = out[1:-1]
-    assert len(reports) == 41  # 8 subcommands; price, survival and mc-check on 12 params files
+    # 8 subcommands, calibrate-rates on two more curves; price, survival and
+    # mc-check on 12 params files
+    assert len(reports) == 43
     assert all(" identical (" in line and ".json" in line for line in reports)
 
 

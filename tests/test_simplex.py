@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,23 @@ def test_nonfinite_start_raises():
         nelder_mead(lambda x: float("nan"), [1.0], Transform(("positive",)))
     with pytest.raises(ValueError, match="not finite at the initial point"):
         nelder_mead(lambda x: float("inf"), [0.0, 0.0], Transform(("correlation",) * 2))
+
+
+def test_a_point_whose_transform_overflows_scores_inf():
+    # From x0 = 1e300 the start simplex's bump, z = 1.05 log(1e300) = 725, is
+    # past exp's range: that vertex scores inf, as a point the objective
+    # refuses does, and the search contracts back to the minimum at 1e299.
+    seen = []
+
+    def objective(x):
+        seen.append(x[0])
+        return (math.log10(x[0]) - 299.0) ** 2
+
+    res = nelder_mead(objective, [1e300], Transform(("positive",)))
+    assert res.converged
+    assert res.x[0] == pytest.approx(1e299, rel=1e-4)
+    assert all(map(math.isfinite, seen))
+    assert res.n_eval > len(seen)  # the overflowing points count as evaluations
 
 
 def test_budget_exhaustion_returns_best_point_unconverged(monkeypatch):
